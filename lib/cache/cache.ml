@@ -61,6 +61,16 @@ type binding = {
 
 type stats = { hits : int; misses : int; evictions : int; bytes : int }
 
+(* A [predict_misses] running count for one prefix and start offset
+   [lo]: [m_cum.(j)] is the reads serving offsets [lo, lo+j) costs, for
+   [j <= m_len]; [m_filled] holds the uncached blocks those offsets
+   already counted, so a second tuple of one block costs nothing. *)
+type memo = {
+  mutable m_cum : int array;
+  mutable m_len : int;
+  m_filled : (int, unit) Hashtbl.t;
+}
+
 type t = {
   budget_bytes : int;
   seed : int;
@@ -73,6 +83,11 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable binding : binding option;
+  memos : (int * int * int, memo) Hashtbl.t;
+      (* (uid, kind tag, lo); dropped by every store insert or removal
+         and every prefix extension. The prefix drop in
+         [invalidate_relation] needs no drop of its own: a re-created
+         prefix reaches a memo only once extended. *)
 }
 
 let create ?(budget_mb = 16.0) ?(seed = 0) () =
@@ -88,6 +103,7 @@ let create ?(budget_mb = 16.0) ?(seed = 0) () =
     misses = 0;
     evictions = 0;
     binding = None;
+    memos = Hashtbl.create 16;
   }
 
 let budget_bytes t = t.budget_bytes
@@ -125,6 +141,7 @@ let bind_metrics t m =
 
 let hit (t : t) = t.hits <- t.hits + 1; sync_binding t
 let miss (t : t) = t.misses <- t.misses + 1; sync_binding t
+let drop_memos t = Hashtbl.reset t.memos
 
 (* ------------------------------------------------------------------ *)
 (* Generations and invalidation                                        *)
@@ -136,7 +153,8 @@ let generation t file = gen_of_uid t (Heap_file.uid file)
 
 let remove_entry t k s =
   Hashtbl.remove t.store k;
-  t.bytes <- t.bytes - s.s_bytes
+  t.bytes <- t.bytes - s.s_bytes;
+  drop_memos t
 
 let invalidate_relation t file =
   let uid = Heap_file.uid file in
@@ -152,9 +170,12 @@ let invalidate_relation t file =
   sync_binding t
 
 (* ------------------------------------------------------------------ *)
-(* Eviction: lowest refetch-cost-per-age first. O(n) scan per evicted
-   entry — the store holds thousands of block-sized entries at bench
-   scale, and eviction only runs while over budget. *)
+(* Eviction: lowest refetch-cost-per-age first, by an O(n) scan of the
+   whole store per evicted entry. A store that has filled its budget
+   stays at it, so once warm nearly every insert evicts and pays one
+   full scan. That scan is the cache's largest host cost (nearly a
+   quarter of the e2e benchmark's mixed_cache replay time,
+   docs/CACHING.md). *)
 
 let evict_until_fits t =
   while t.bytes > t.budget_bytes && Hashtbl.length t.store > 0 do
@@ -182,6 +203,7 @@ let insert t k ~bytes ~cost v =
     Hashtbl.replace t.store k
       { s_bytes = bytes; s_cost = cost; s_last_use = t.tick; s_value = v };
     t.bytes <- t.bytes + bytes;
+    drop_memos t;
     evict_until_fits t
   end
 
@@ -228,8 +250,9 @@ let prefix_for t file kind =
       Hashtbl.replace t.prefixes key p;
       p
 
-let extend_prefix p upto =
+let extend_prefix t p upto =
   if upto > p.p_len then begin
+    drop_memos t;
     let need = Int.min upto p.p_n - p.p_len in
     let fresh =
       Taqp_rng.Sample.from_excluding p.p_rng ~k:need ~n:p.p_n
@@ -254,34 +277,62 @@ let prefix_units t ~file ~kind ~lo ~k =
   let p = prefix_for t file kind in
   if lo < 0 || k < 0 || lo + k > p.p_n then
     invalid_arg "Cache.prefix_units: offsets exceed population";
-  extend_prefix p (lo + k);
+  extend_prefix t p (lo + k);
   List.init k (fun i -> p.p_units.(lo + i))
 
 let block_of_unit file kind u =
   match kind with Blocks -> u | Tuples -> u / Heap_file.blocking_factor file
 
+(* Extend [m] to cover offsets [lo, lo+upto), all materialized. *)
+let extend_memo t ~file ~kind p ~lo m upto =
+  if upto > m.m_len then begin
+    if Array.length m.m_cum <= upto then begin
+      let size = Int.max (upto + 1) (2 * Array.length m.m_cum) in
+      let grown = Array.make size 0 in
+      Array.blit m.m_cum 0 grown 0 (m.m_len + 1);
+      m.m_cum <- grown
+    end;
+    let uid = Heap_file.uid file in
+    for j = m.m_len to upto - 1 do
+      let b = block_of_unit file kind p.p_units.(lo + j) in
+      (* blocks the stage will have filled itself by the time it needs
+         them again (two tuples of one uncached block cost one read) *)
+      let read =
+        (not (Hashtbl.mem t.store (K_block (uid, b))))
+        && not (Hashtbl.mem m.m_filled b)
+      in
+      if read then Hashtbl.add m.m_filled b ();
+      m.m_cum.(j + 1) <- (m.m_cum.(j) + if read then 1 else 0)
+    done;
+    m.m_len <- upto
+  end
+
+(* Stage planning bisects on the sample fraction and prices every probe
+   here, at one [lo] and many [k], with no cache mutation in between;
+   the memo turns each repeat into a lookup instead of a rescan. *)
 let predict_misses t ~file ~kind ~lo ~k =
   let uid = Heap_file.uid file in
   match Hashtbl.find_opt t.prefixes (uid, kind_tag kind) with
-  | None -> k
-  | Some p ->
-      (* blocks the stage will have filled itself by the time it needs
-         them again (two tuples of one uncached block cost one read) *)
-      let filled = Hashtbl.create 16 in
-      let n_miss = ref 0 in
-      for off = lo to lo + k - 1 do
-        if off >= p.p_len then incr n_miss
-        else
-          let b = block_of_unit file kind p.p_units.(off) in
-          if
-            (not (Hashtbl.mem t.store (K_block (uid, b))))
-            && not (Hashtbl.mem filled b)
-          then begin
-            Hashtbl.add filled b ();
-            incr n_miss
-          end
-      done;
-      !n_miss
+  | Some p when lo < p.p_len && k > 0 ->
+      let mat = Int.min k (p.p_len - lo) in
+      let key = (uid, kind_tag kind, lo) in
+      let m =
+        match Hashtbl.find_opt t.memos key with
+        | Some m -> m
+        | None ->
+            let m =
+              {
+                m_cum = Array.make 64 0;
+                m_len = 0;
+                m_filled = Hashtbl.create 16;
+              }
+            in
+            Hashtbl.replace t.memos key m;
+            m
+      in
+      extend_memo t ~file ~kind p ~lo m mat;
+      m.m_cum.(mat) + (k - mat)
+  | Some _ | None -> k
 
 (* ------------------------------------------------------------------ *)
 (* Blocks and summaries                                                *)

@@ -920,7 +920,10 @@ let draw_and_scan t device ~f =
         None
       end
       else begin
+        (* [t0] prices the read for the cost model and is always
+           virtual; the span is stamped by the tracer's own clock *)
         let t0 = Clock.now (Device.clock device) in
+        let span_t0 = Tracer.now tracer in
         let unit_ids =
           match scan_cache t scan with
           | Some c ->
@@ -938,7 +941,7 @@ let draw_and_scan t device ~f =
         scan.drawn_tuples <- scan.drawn_tuples + Array.length tuples;
         let t1 = Clock.now (Device.clock device) in
         if Tracer.enabled tracer then
-          Tracer.complete tracer ~cat:"scan" ~begin_ts:t0
+          Tracer.complete tracer ~cat:"scan" ~begin_ts:span_t0
             ("scan:" ^ scan.relation)
             ~args:
               [

@@ -62,7 +62,8 @@ let checkpoint t handle =
     encode_checkpoint { Checkpoint.c_at = 0.0; c_exec = snap; c_device = dev }
   in
   let bytes = String.length sized + Journal.frame_overhead in
-  let t0 = Clock.now clock in
+  let tracer = Device.tracer t.device in
+  let begin_ts = Tracer.now tracer in
   (try Device.journal_write t.device ~bytes
    with Clock.Deadline_exceeded _ -> ());
   let at = Clock.now clock in
@@ -70,9 +71,8 @@ let checkpoint t handle =
     (encode_checkpoint { Checkpoint.c_at = at; c_exec = snap; c_device = dev });
   Metrics.Counter.incr t.c_checkpoints;
   Metrics.Counter.add t.c_bytes bytes;
-  let tracer = Device.tracer t.device in
   if Tracer.enabled tracer then
-    Tracer.complete tracer ~cat:"recover" ~begin_ts:t0 "checkpoint"
+    Tracer.complete tracer ~cat:"recover" ~begin_ts "checkpoint"
       ~args:
         [
           ("bytes", Taqp_obs.Event.Int bytes);

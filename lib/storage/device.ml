@@ -112,9 +112,11 @@ let advance t label dt =
    single branch — no closure, no allocation — so the hot block-read
    path costs exactly what it did before instrumentation existed. The
    charge itself is identical either way: tracing reads the clock, it
-   never advances it. If the charge trips an armed deadline the
-   exception propagates and the clock's own [deadline.abort] instant
-   marks the spot (a dangling storage span is fine in both formats).
+   never advances it. Both ends of the span are stamped by the tracer's
+   own clock, which need not be the device's. If the charge trips an
+   armed deadline the exception propagates and the clock's own
+   [deadline.abort] instant marks the spot (a dangling storage span is
+   fine in both formats).
 
    [spend_label] defaults to the span name but is deliberately a
    separate concept: a fault retry re-pays the same span [name] (so
@@ -123,7 +125,7 @@ let advance t label dt =
 let plain_traced_charge ?spend_label t name cost =
   let label = match spend_label with Some l -> l | None -> name in
   if Tracer.enabled t.tracer then begin
-    let begin_ts = Clock.now t.clock in
+    let begin_ts = Tracer.now t.tracer in
     advance t label (cost *. jitter t);
     Tracer.complete t.tracer ~cat:"storage" ~begin_ts name
   end
@@ -323,7 +325,7 @@ let journal_write t ~bytes =
   if bytes > 0 then begin
     let cost = float_of_int bytes *. t.params.journal_byte_write in
     if Tracer.enabled t.tracer then begin
-      let begin_ts = Clock.now t.clock in
+      let begin_ts = Tracer.now t.tracer in
       advance t "journal_write" cost;
       Tracer.complete t.tracer ~cat:"storage" ~begin_ts "journal_write"
     end

@@ -28,6 +28,7 @@ module Executor = Taqp_core.Executor
 module Aggregate = Taqp_core.Aggregate
 module Stopping = Taqp_timecontrol.Stopping
 module Catalog = Taqp_storage.Catalog
+module Heap_file = Taqp_storage.Heap_file
 module Clock = Taqp_storage.Clock
 module Device = Taqp_storage.Device
 module Cost_params = Taqp_storage.Cost_params
@@ -248,13 +249,14 @@ let test_record_stage_then_draw_disjoint () =
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                          *)
 
+let first_relation (wl : Paper_setup.t) =
+  Catalog.find wl.Paper_setup.catalog
+    (List.hd (Catalog.names wl.Paper_setup.catalog))
+
 let test_predict_misses_read_only () =
   let wl = Lazy.force selection in
   let cache = Cache.create ~budget_mb:8.0 ~seed:0 () in
-  let file =
-    Catalog.find wl.Paper_setup.catalog
-      (List.hd (Catalog.names wl.Paper_setup.catalog))
-  in
+  let file = first_relation wl in
   let p1 = Cache.predict_misses cache ~file ~kind:Cache.Blocks ~lo:0 ~k:5 in
   let p2 = Cache.predict_misses cache ~file ~kind:Cache.Blocks ~lo:0 ~k:5 in
   checki "prediction is stable (no randomness consumed)" p1 p2;
@@ -263,7 +265,206 @@ let test_predict_misses_read_only () =
      blocks are actually stored *)
   ignore (Cache.prefix_units cache ~file ~kind:Cache.Blocks ~lo:0 ~k:5);
   checki "prediction respects materialized-but-unstored" 5
-    (Cache.predict_misses cache ~file ~kind:Cache.Blocks ~lo:0 ~k:5)
+    (Cache.predict_misses cache ~file ~kind:Cache.Blocks ~lo:0 ~k:5);
+  (* Any number of predictions leaves the counters and the next draw
+     exactly as a twin cache that never predicted has them. *)
+  let twin = Cache.create ~budget_mb:8.0 ~seed:0 () in
+  let history c =
+    ignore (Cache.prefix_units c ~file ~kind:Cache.Blocks ~lo:0 ~k:5);
+    ignore (Cache.prefix_units c ~file ~kind:Cache.Tuples ~lo:0 ~k:30);
+    List.iter
+      (fun b ->
+        ignore (Cache.find_block c ~file b);
+        Cache.store_block c ~file b ~cost:0.01 (Heap_file.block file b))
+      [ 0; 3; 7 ];
+    ignore (Cache.find_block c ~file 3)
+  in
+  history cache;
+  history twin;
+  for lo = 0 to 40 do
+    List.iter
+      (fun kind ->
+        for k = 0 to 60 do
+          ignore (Cache.predict_misses cache ~file ~kind ~lo ~k)
+        done)
+      [ Cache.Blocks; Cache.Tuples ]
+  done;
+  checkb "stats untouched by predictions" true
+    (Cache.stats cache = Cache.stats twin);
+  List.iter
+    (fun kind ->
+      checkb "next draw untouched by predictions" true
+        (Cache.prefix_units cache ~file ~kind ~lo:30 ~k:8
+        = Cache.prefix_units twin ~file ~kind ~lo:30 ~k:8))
+    [ Cache.Blocks; Cache.Tuples ];
+  (* Under the Tuples kind a stage reads each uncached block once,
+     however many of its sampled tuples share it. *)
+  let cache = Cache.create ~budget_mb:8.0 ~seed:0 () in
+  let bf = Heap_file.blocking_factor file in
+  let n = Heap_file.n_tuples file in
+  let units =
+    Array.of_list (Cache.prefix_units cache ~file ~kind:Cache.Tuples ~lo:0 ~k:n)
+  in
+  (* the first offset whose tuple shares a block with an earlier one *)
+  let rec first_repeat seen j =
+    let b = units.(j) / bf in
+    if List.mem b seen then j else first_repeat (b :: seen) (j + 1)
+  in
+  let j = first_repeat [] 0 in
+  checki "two tuples of one uncached block are one read" j
+    (Cache.predict_misses cache ~file ~kind:Cache.Tuples ~lo:0 ~k:(j + 1));
+  checki "a whole-relation sample reads every block once"
+    (Heap_file.n_blocks file)
+    (Cache.predict_misses cache ~file ~kind:Cache.Tuples ~lo:0 ~k:n);
+  let b = units.(0) / bf in
+  Cache.store_block cache ~file b ~cost:0.01 (Heap_file.block file b);
+  checki "a cached block is no read"
+    (Heap_file.n_blocks file - 1)
+    (Cache.predict_misses cache ~file ~kind:Cache.Tuples ~lo:0 ~k:n)
+
+(* ------------------------------------------------------------------ *)
+(* Memoized prediction: after any history of cache mutations, a memo
+   kept warm by a prediction at every step answers exactly what a cold
+   memo does. The cold side is a fresh cache with the same seed that
+   replays the same operations and is asked once. *)
+
+type op =
+  | Draw of int * Cache.unit_kind * int  (* consumer, kind, units *)
+  | Store of int * float  (* i-th drawn block, refetch cost *)
+  | Find of int  (* i-th drawn block *)
+  | Store_run of int * int  (* sorted run over tuple offsets [lo, hi) *)
+  | Invalidate
+
+type probe = { kind : Cache.unit_kind; at : int; raw_lo : int; k : int }
+(* [at] 0 and 1 probe at that consumer's next offset; otherwise at [raw_lo] *)
+
+let kind_name = function Cache.Blocks -> "blocks" | Cache.Tuples -> "tuples"
+
+let pp_op = function
+  | Draw (c, kind, k) -> Fmt.str "draw(c%d,%s,%d)" c (kind_name kind) k
+  | Store (i, cost) -> Fmt.str "store(%d,%g)" i cost
+  | Find i -> Fmt.str "find(%d)" i
+  | Store_run (lo, hi) -> Fmt.str "run(%d,%d)" lo hi
+  | Invalidate -> "invalidate"
+
+let pp_probe p =
+  Fmt.str "probe(%s,%d,%d,%d)" (kind_name p.kind) p.at p.raw_lo p.k
+
+let gen_steps =
+  let open QCheck.Gen in
+  let kind = oneofl [ Cache.Blocks; Cache.Tuples ] in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun c kd k -> Draw (c, kd, k))
+            (int_range 0 1) kind (int_range 1 12) );
+        ( 4,
+          map2
+            (fun i c -> Store (i, c))
+            (int_range 0 99) (float_range 0.001 0.05) );
+        (2, map (fun i -> Find i) (int_range 0 99));
+        ( 1,
+          map2
+            (fun lo n -> Store_run (lo, lo + n))
+            (int_range 0 30) (int_range 1 20) );
+        (2, return Invalidate);
+      ]
+  in
+  let probe =
+    map4
+      (fun kind at raw_lo k -> { kind; at; raw_lo; k })
+      kind (int_range 0 2) (int_range 0 40) (int_range 0 60)
+  in
+  list_size (int_range 1 40) (pair op probe)
+
+let arb_steps =
+  QCheck.make gen_steps ~print:(fun steps ->
+      String.concat "; "
+        (List.map (fun (o, p) -> pp_op o ^ " " ^ pp_probe p) steps))
+
+(* One cache, the two consumers' next offsets per unit kind (consumer 1
+   starts further along the prefix than consumer 0), and the blocks the
+   draws touched: stores and finds pick among those, as a stage does. *)
+type subject = {
+  cache : Cache.t;
+  cursors : (int * Cache.unit_kind, int) Hashtbl.t;
+  mutable drawn : int array;
+}
+
+let memo_subject () =
+  let cursors = Hashtbl.create 4 in
+  List.iter
+    (fun kind ->
+      Hashtbl.replace cursors (0, kind) 0;
+      Hashtbl.replace cursors (1, kind) 8)
+    [ Cache.Blocks; Cache.Tuples ];
+  (* a budget of ~6 of the relation's 1000-byte blocks, so stores evict *)
+  { cache = Cache.create ~budget_mb:0.006 ~seed:3 (); cursors; drawn = [||] }
+
+let drawn_block file s i =
+  if s.drawn = [||] then i mod Heap_file.n_blocks file
+  else s.drawn.(i mod Array.length s.drawn)
+
+let apply file s = function
+  | Draw (c, kind, k) ->
+      let lo = Hashtbl.find s.cursors (c, kind) in
+      let pop =
+        match kind with
+        | Cache.Blocks -> Heap_file.n_blocks file
+        | Cache.Tuples -> Heap_file.n_tuples file
+      in
+      let k = Int.min k (pop - lo) in
+      if k > 0 then begin
+        let units = Cache.prefix_units s.cache ~file ~kind ~lo ~k in
+        let bf = Heap_file.blocking_factor file in
+        let block u =
+          match kind with Cache.Blocks -> u | Cache.Tuples -> u / bf
+        in
+        s.drawn <- Array.append s.drawn (Array.of_list (List.map block units));
+        Hashtbl.replace s.cursors (c, kind) (lo + k)
+      end
+  | Store (i, cost) ->
+      let b = drawn_block file s i in
+      Cache.store_block s.cache ~file b ~cost (Heap_file.block file b)
+  | Find i -> ignore (Cache.find_block s.cache ~file (drawn_block file s i))
+  | Store_run (lo, hi) ->
+      let tuples =
+        Array.init (hi - lo) (fun i ->
+            (Heap_file.block file (i mod Heap_file.n_blocks file)).(0))
+      in
+      Cache.store_sorted_run s.cache ~file ~kind:Cache.Tuples ~lo ~hi
+        ~key:[| 0 |] ~cost:0.02 tuples
+  | Invalidate -> Cache.invalidate_relation s.cache file
+
+let predict file s p =
+  let lo =
+    if p.at < 2 then Hashtbl.find s.cursors (p.at, p.kind) else p.raw_lo
+  in
+  Cache.predict_misses s.cache ~file ~kind:p.kind ~lo ~k:p.k
+
+let warm_memo_equals_cold steps =
+  let file = first_relation (Lazy.force selection) in
+  let warm = memo_subject () in
+  let answers =
+    List.map
+      (fun (op, p) ->
+        apply file warm op;
+        predict file warm p)
+      steps
+  in
+  let ops = List.map fst steps in
+  List.for_all
+    (fun i ->
+      let cold = memo_subject () in
+      List.iteri (fun j op -> if j <= i then apply file cold op) ops;
+      predict file cold (snd (List.nth steps i)) = List.nth answers i)
+    (List.init (List.length steps) Fun.id)
+
+let prop_warm_memo_equals_cold =
+  QCheck.Test.make ~name:"warm predict_misses memo ≡ cold replay" ~count:150
+    arb_steps warm_memo_equals_cold
 
 let () =
   Alcotest.run "cache"
@@ -312,5 +513,6 @@ let () =
         [
           Alcotest.test_case "predict_misses is read-only" `Quick
             test_predict_misses_read_only;
+          QCheck_alcotest.to_alcotest prop_warm_memo_equals_cold;
         ] );
     ]

@@ -505,6 +505,100 @@ let test_disabled_path_zero_drift () =
     traced.Report.stages_completed;
   checkf 1e-15 "same variance" plain.Report.variance traced.Report.variance
 
+(* A tracer need not read the device's virtual clock: a host-clock
+   tracer times host work. Here the tracer reads a counter that ticks
+   once per read, so every span it closes must last a whole number of
+   ticks, at least one; a begin stamp taken from the virtual clock
+   would leave a fraction. The run itself must not notice the foreign
+   clock. The journaled loop covers [journal_write] and [checkpoint]. *)
+module Device = Taqp_storage.Device
+module Cost_params = Taqp_storage.Cost_params
+module Executor = Taqp_core.Executor
+module Aggregate = Taqp_core.Aggregate
+module Query_journal = Taqp_recover.Query_journal
+module Checkpoint = Taqp_recover.Checkpoint
+
+let test_spans_use_tracer_clock () =
+  let wl = Paper_setup.join ~spec:small_spec ~target_output:2000 ~seed:5 () in
+  let run tracer =
+    let params = Cost_params.no_jitter Cost_params.default in
+    let device = Device.create ~params ?tracer (Clock.create_virtual ()) in
+    let h =
+      Executor.start ~config:observe_config ~aggregate:Aggregate.Count ~device
+        ~catalog:wl.Paper_setup.catalog ~rng:(Taqp_rng.Prng.create 3)
+        ~quota:2.0 wl.Paper_setup.query
+    in
+    let path = Filename.temp_file "taqp_test_obs" ".jrn" in
+    let journal =
+      Query_journal.create ~path ~device
+        {
+          Checkpoint.m_query = wl.Paper_setup.query;
+          m_aggregate = Aggregate.Count;
+          m_config = observe_config;
+          m_quota = 2.0;
+          m_seed = 3;
+          m_params = params;
+          m_fault_plan = Taqp_fault.Fault_plan.none;
+          m_fault_seed = 3;
+        }
+    in
+    let rec loop () =
+      match Executor.step h with
+      | `Continue ->
+          Query_journal.checkpoint journal h;
+          loop ()
+      | `Done r -> r
+    in
+    let r = loop () in
+    Query_journal.close journal;
+    Sys.remove path;
+    r
+  in
+  let ticks = ref 0 in
+  let sink, events = Sink.memory () in
+  let tracer =
+    Tracer.make ~sink ~now:(fun () ->
+        incr ticks;
+        float_of_int !ticks)
+  in
+  let traced = run (Some tracer) in
+  let plain = run None in
+  checkf 0.0 "same estimate" plain.Report.estimate traced.Report.estimate;
+  checkf 0.0 "same elapsed" plain.Report.elapsed traced.Report.elapsed;
+  checkf 0.0 "same variance" plain.Report.variance traced.Report.variance;
+  checki "same stages" plain.Report.stages_completed
+    traced.Report.stages_completed;
+  let completes cat =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.phase with
+        | Event.Complete d when e.Event.cat = cat -> Some (e.Event.name, d)
+        | _ -> None)
+      (events ())
+  in
+  List.iter
+    (fun (cat, name) ->
+      checkb
+        (Fmt.str "%s span %s present" cat name)
+        true
+        (List.exists (fun (n, _) -> n = name) (completes cat)))
+    [
+      ("storage", "read_block");
+      ("storage", "journal_write");
+      ("scan", "scan:r1");
+      ("recover", "checkpoint");
+    ];
+  List.iter
+    (fun cat ->
+      List.iter
+        (fun (name, d) ->
+          checkb
+            (Fmt.str "%s %s lasts whole ticks (%g)" cat name d)
+            true
+            (Float.is_integer d && d >= 1.0))
+        (completes cat))
+    [ "storage"; "scan"; "recover" ]
+
 (* The summary sink renders per-stage lines from the span stream. *)
 let test_summary_sink () =
   let buf = Buffer.create 1024 in
@@ -568,6 +662,8 @@ let () =
             test_jsonl_stream_matches_memory;
           Alcotest.test_case "disabled path zero drift" `Quick
             test_disabled_path_zero_drift;
+          Alcotest.test_case "spans use the tracer's clock" `Quick
+            test_spans_use_tracer_clock;
           Alcotest.test_case "summary sink" `Quick test_summary_sink;
         ] );
     ]
