@@ -1,6 +1,7 @@
 module Heap_file = Taqp_storage.Heap_file
 module Tuple = Taqp_data.Tuple
 module Ops = Taqp_relational.Ops
+module Sorted_run = Taqp_relational.Sorted_run
 module Prng = Taqp_rng.Prng
 module Metrics = Taqp_obs.Metrics
 module Tracer = Taqp_obs.Tracer
@@ -26,7 +27,7 @@ type prefix = {
 
 type value =
   | Block of Tuple.t array
-  | Sorted of Tuple.t array
+  | Sorted of Sorted_run.t
   | Hashed of Ops.Hash_index.t
 
 (* Evictable entries, one table for all three kinds so eviction can
@@ -360,11 +361,14 @@ let find_sorted_run t ~file ~kind ~lo ~hi ~key =
   | Some (Sorted a) -> Some a
   | Some _ | None -> None
 
-let store_sorted_run t ~file ~kind ~lo ~hi ~key ~cost tuples =
+(* The byte charge counts the tuples only: the keys are a host-side
+   copy of fields already counted, and charging them would move every
+   eviction decision. *)
+let store_sorted_run t ~file ~kind ~lo ~hi ~key ~cost ?keys tuples =
   insert t
     (summary_key k_sorted t file ~kind ~lo ~hi ~key)
     ~bytes:(Array.length tuples * Heap_file.tuple_bytes file)
-    ~cost (Sorted tuples)
+    ~cost (Sorted { Sorted_run.tuples; keys })
 
 let find_hash_index t ~file ~kind ~lo ~hi ~key =
   match lookup t (summary_key k_hash t file ~kind ~lo ~hi ~key) with

@@ -102,14 +102,17 @@ val store_block : t -> file:Taqp_storage.Heap_file.t -> int -> cost:float ->
 (** {2 Stage summaries} *)
 
 val find_sorted_run : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
-  lo:int -> hi:int -> key:int array -> Taqp_data.Tuple.t array option
+  lo:int -> hi:int -> key:int array -> Taqp_relational.Sorted_run.t option
 (** A sorted run over [kind]-prefix offsets [lo, hi) of the relation's
-    current generation, ordered by tuple positions [key]. Counts
-    hit/miss. *)
+    current generation, ordered by tuple positions [key], with the int
+    keys it was stored with. Counts hit/miss. *)
 
 val store_sorted_run : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
-  lo:int -> hi:int -> key:int array -> cost:float ->
+  lo:int -> hi:int -> key:int array -> cost:float -> ?keys:int array ->
   Taqp_data.Tuple.t array -> unit
+(** Retain sorted [tuples] and, when given, their int keys
+    ({!Taqp_relational.Sorted_run.t}). Charges [n * tuple_bytes], keys
+    or not. May evict. *)
 
 val find_hash_index : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
   lo:int -> hi:int -> key:int array -> Taqp_relational.Ops.Hash_index.t option

@@ -9,6 +9,7 @@ module Cost_params = Taqp_storage.Cost_params
 module Ra = Taqp_relational.Ra
 module Predicate = Taqp_relational.Predicate
 module Ops = Taqp_relational.Ops
+module Sorted_run = Taqp_relational.Sorted_run
 module Plan = Taqp_sampling.Plan
 module Stage_set = Taqp_sampling.Stage_set
 module Fulfillment = Taqp_sampling.Fulfillment
@@ -89,15 +90,15 @@ and binary = {
   op : [ `Join | `Intersect ];
   key_l : int array;
   key_r : int array;
-  cmp_l : Tuple.t -> Tuple.t -> int;  (** precompiled sort order *)
-  cmp_r : Tuple.t -> Tuple.t -> int;
+  sort_l : Tuple.t array -> Sorted_run.t;  (** precompiled sort order *)
+  sort_r : Tuple.t array -> Sorted_run.t;
   residual : Tuple.t -> bool;
   residual_comparisons : int;
   left : node;
   right : node;
   hash_id : int;  (** cost-model node of the hash path *)
-  mutable files_l : Tuple.t array list;  (** oldest first, sorted *)
-  mutable files_r : Tuple.t array list;
+  mutable files_l : Sorted_run.t list;  (** oldest first *)
+  mutable files_r : Sorted_run.t list;
   mutable deltas_l : Tuple.t array list;  (** oldest first, raw *)
   mutable deltas_r : Tuple.t array list;
   hash_l : Ops.Hash_index.t;  (** retained index over [deltas_l] *)
@@ -211,8 +212,12 @@ let make_binary ~op ~key_l ~key_r ~residual ~residual_comparisons ~left ~right
     op;
     key_l;
     key_r;
-    cmp_l = Ops.key_comparator ~arity:(Schema.arity left.schema) key_l;
-    cmp_r = Ops.key_comparator ~arity:(Schema.arity right.schema) key_r;
+    sort_l =
+      Sorted_run.sort ~key:key_l
+        ~cmp:(Ops.key_comparator ~arity:(Schema.arity left.schema) key_l);
+    sort_r =
+      Sorted_run.sort ~key:key_r
+        ~cmp:(Ops.key_comparator ~arity:(Schema.arity right.schema) key_r);
     residual;
     residual_comparisons;
     left;
@@ -1161,21 +1166,19 @@ and eval_node_body t device node : Tuple.t array =
             write_side bf_l delta_l;
             write_side bf_r delta_r;
             let t1 = Clock.now clock in
-            let sort_with cmp arr =
+            let sort_with sort arr =
               Device.sort device ~n:(Array.length arr);
-              let s = Array.copy arr in
-              Array.sort cmp s;
-              s
+              sort arr
             in
             (* This stage's delta sorts go through the shared cache
                when the side is a leaf on the shared prefix: a hit
                charges one probe instead of the sort. Catch-up sorts of
                older deltas keep the plain path — their slices are
                job-specific. The runs are never mutated after this
-               point, so sharing one array across jobs is safe. *)
-            let sorted_delta side key cmp arr =
+               point, so sharing one across jobs is safe. *)
+            let sorted_delta side key sort arr =
               match leaf_slice t side arr with
-              | None -> sort_with cmp arr
+              | None -> sort_with sort arr
               | Some (c, scan, lo, hi) -> (
                   let kind = cache_kind scan in
                   match
@@ -1185,7 +1188,7 @@ and eval_node_body t device node : Tuple.t array =
                       Device.cache_probe device;
                       run
                   | None ->
-                      let s = sort_with cmp arr in
+                      let run = sort_with sort arr in
                       let p = Device.params device in
                       let fn = float_of_int (Array.length arr) in
                       Cache.store_sorted_run c ~file:scan.file ~kind ~lo ~hi
@@ -1193,8 +1196,8 @@ and eval_node_body t device node : Tuple.t array =
                         ~cost:
                           ((p.Cost_params.sort_per_nlogn *. xlog fn)
                           +. (p.Cost_params.sort_per_tuple *. fn))
-                        s;
-                      s)
+                        ?keys:run.Sorted_run.keys run.Sorted_run.tuples;
+                      run)
             in
             let sorted_l, sorted_r =
               let sort_tuples =
@@ -1206,20 +1209,20 @@ and eval_node_body t device node : Tuple.t array =
               match t.pool with
               | Some pool when t.cache = None && sort_tuples >= !par_threshold ->
                   (* The sorts are independent whole-array jobs, so they
-                     fan out as-is (never splitting one sort — Array.sort
-                     is not stable, but the same array under the same
-                     comparator is deterministic). Charges are replayed
-                     up front in the sequential call order; gated on no
-                     cache because [sorted_delta] interleaves cache
-                     probes with the charges. *)
+                     fan out as-is, never splitting one sort: each is a
+                     deterministic function of its array, whichever
+                     domain runs it. Charges are replayed up front in the
+                     sequential call order below; gated on no cache
+                     because [sorted_delta] interleaves cache probes with
+                     the charges. *)
                   let jobs =
                     Array.concat
                       [
                         Array.of_list
-                          (List.map (fun a -> (b.cmp_l, a)) missing_l);
+                          (List.map (fun a -> (b.sort_l, a)) missing_l);
                         Array.of_list
-                          (List.map (fun a -> (b.cmp_r, a)) missing_r);
-                        [| (b.cmp_l, delta_l); (b.cmp_r, delta_r) |];
+                          (List.map (fun a -> (b.sort_r, a)) missing_r);
+                        [| (b.sort_r, delta_r); (b.sort_l, delta_l) |];
                       ]
                   in
                   Array.iter
@@ -1227,12 +1230,7 @@ and eval_node_body t device node : Tuple.t array =
                     jobs;
                   let sorted =
                     Taqp_parallel.Pool.run pool
-                      (Array.map
-                         (fun (cmp, a) () ->
-                           let s = Array.copy a in
-                           Array.sort cmp s;
-                           s)
-                         jobs)
+                      (Array.map (fun (sort, a) () -> sort a) jobs)
                   in
                   let n_ml = List.length missing_l in
                   let n_mr = List.length missing_r in
@@ -1240,82 +1238,74 @@ and eval_node_body t device node : Tuple.t array =
                     b.files_l @ Array.to_list (Array.sub sorted 0 n_ml);
                   b.files_r <-
                     b.files_r @ Array.to_list (Array.sub sorted n_ml n_mr);
-                  (sorted.(n_ml + n_mr), sorted.(n_ml + n_mr + 1))
+                  (sorted.(n_ml + n_mr + 1), sorted.(n_ml + n_mr))
               | _ ->
-                  b.files_l <- b.files_l @ List.map (sort_with b.cmp_l) missing_l;
-                  b.files_r <- b.files_r @ List.map (sort_with b.cmp_r) missing_r;
-                  ( sorted_delta b.left b.key_l b.cmp_l delta_l,
-                    sorted_delta b.right b.key_r b.cmp_r delta_r )
+                  b.files_l <-
+                    b.files_l @ List.map (sort_with b.sort_l) missing_l;
+                  b.files_r <-
+                    b.files_r @ List.map (sort_with b.sort_r) missing_r;
+                  (* Right delta before left, the order the parallel
+                     region above replays. *)
+                  let sorted_r =
+                    sorted_delta b.right b.key_r b.sort_r delta_r
+                  in
+                  let sorted_l =
+                    sorted_delta b.left b.key_l b.sort_l delta_l
+                  in
+                  (sorted_l, sorted_r)
             in
             let t2 = Clock.now clock in
             b.files_l <- b.files_l @ [ sorted_l ];
             b.files_r <- b.files_r @ [ sorted_r ];
             let file_at files i = List.nth files (i - 1) in
-            let out = ref [] in
-            let merge_reads = ref 0 in
             let pair_files =
               Array.of_list
                 (List.map
                    (fun (i, j) -> (file_at b.files_l i, file_at b.files_r j))
                    pairings)
             in
-            let pair_tuples =
-              Array.fold_left
-                (fun acc (fl, fr) -> acc + Array.length fl + Array.length fr)
-                0 pair_files
+            let pair_tuples (fl, fr) =
+              Sorted_run.length fl + Sorted_run.length fr
             in
-            (match t.pool with
-            | Some pool
-              when Array.length pair_files > 1 && pair_tuples >= !par_threshold
-              ->
-                (* Each pairing merges on a worker with no device; the
-                   master then replays the identical charge sequence —
-                   merge_setup, merge_tuples |fl|+|fr|, one residual
-                   check per candidate — in pairing order. The counted
-                   variants report exactly how many candidate checks
-                   the sequential merge would have charged. *)
-                let computed =
+            let merge (fl, fr) =
+              match b.op with
+              | `Join ->
+                  Sorted_run.merge_join ~key_l:b.key_l ~key_r:b.key_r
+                    ~residual:b.residual fl fr
+              | `Intersect -> (Sorted_run.merge_intersect ~key:b.key_l fl fr, 0)
+            in
+            (* Every pairing is merged first, on workers when the pool
+               is worth it, with no device; the master then replays
+               each pairing's charges in pairing order — merge_setup,
+               merge_tuples |fl|+|fr|, one residual check per candidate
+               — which is exactly the sequence a merge charging as it
+               went would issue. *)
+            let computed =
+              match t.pool with
+              | Some pool
+                when Array.length pair_files > 1
+                     && Array.fold_left
+                          (fun acc p -> acc + pair_tuples p)
+                          0 pair_files
+                        >= !par_threshold ->
                   Taqp_parallel.Pool.run pool
-                    (Array.map
-                       (fun (fl, fr) () ->
-                         match b.op with
-                         | `Join ->
-                             Ops.merge_join_counted ~key_l:b.key_l
-                               ~key_r:b.key_r ~residual:b.residual fl fr
-                         | `Intersect ->
-                             (Ops.merge_sorted_intersect fl fr, 0))
-                       pair_files)
-                in
-                Array.iteri
-                  (fun idx (produced, candidates) ->
-                    let fl, fr = pair_files.(idx) in
-                    Device.merge_setup device;
-                    merge_reads :=
-                      !merge_reads + Array.length fl + Array.length fr;
-                    Device.merge_tuples device
-                      ~n:(Array.length fl + Array.length fr);
-                    for _ = 1 to candidates do
-                      Device.check_tuples device ~n:1
-                        ~comparisons:b.residual_comparisons
-                    done;
-                    out := List.rev_append produced !out)
-                  computed
-            | _ ->
-                Array.iter
-                  (fun (fl, fr) ->
-                    Device.merge_setup device;
-                    merge_reads :=
-                      !merge_reads + Array.length fl + Array.length fr;
-                    let produced =
-                      match b.op with
-                      | `Join ->
-                          Ops.merge_sorted_join ~device ~key_l:b.key_l
-                            ~key_r:b.key_r ~residual:b.residual
-                            ~residual_comparisons:b.residual_comparisons fl fr
-                      | `Intersect -> Ops.merge_sorted_intersect ~device fl fr
-                    in
-                    out := List.rev_append produced !out)
-                  pair_files);
+                    (Array.map (fun p () -> merge p) pair_files)
+              | _ -> Array.map merge pair_files
+            in
+            let out = ref [] in
+            let merge_reads = ref 0 in
+            Array.iteri
+              (fun idx (produced, candidates) ->
+                let n = pair_tuples pair_files.(idx) in
+                Device.merge_setup device;
+                merge_reads := !merge_reads + n;
+                Device.merge_tuples device ~n;
+                for _ = 1 to candidates do
+                  Device.check_tuples device ~n:1
+                    ~comparisons:b.residual_comparisons
+                done;
+                out := List.rev_append produced !out)
+              computed;
             let t3 = Clock.now clock in
             let out = Array.of_list (List.rev !out) in
             charge_out (Array.length out);
@@ -1779,8 +1769,9 @@ let run_stage t ~device ~f =
    instance of the same query. Derived structures that are pure
    functions of the retained deltas (sorted files, hash indexes) are
    rebuilt rather than serialized: re-sorting the same arrays with the
-   same comparators and re-inserting the same deltas in the same order
-   reproduces them bit-for-bit, at a fraction of the journal bytes. *)
+   same deterministic sort and re-inserting the same deltas in the same
+   order reproduces them bit-for-bit, at a fraction of the journal
+   bytes. *)
 
 type scan_snapshot = {
   sn_relation : string;
@@ -1913,17 +1904,12 @@ let rec restore_state node ns =
       (* Sorted files and hash indexes are deterministic functions of
          the delta prefix each path had processed: rebuild them exactly
          as the sort/hash stages originally did (same arrays, same
-         comparators, same insertion order — the structures come back
-         bit-identical, probe emission order included). No device is
-         charged: recovery pays journal-read time, not a replay of
+         deterministic sorts, same insertion order — the structures come
+         back bit-identical, probe emission order included). No device
+         is charged: recovery pays journal-read time, not a replay of
          work that already happened. *)
-      let sort_with cmp arr =
-        let s = Array.copy arr in
-        Array.sort cmp s;
-        s
-      in
-      b.files_l <- List.map (sort_with b.cmp_l) (take bs.nb_files_l bs.nb_deltas_l);
-      b.files_r <- List.map (sort_with b.cmp_r) (take bs.nb_files_r bs.nb_deltas_r);
+      b.files_l <- List.map b.sort_l (take bs.nb_files_l bs.nb_deltas_l);
+      b.files_r <- List.map b.sort_r (take bs.nb_files_r bs.nb_deltas_r);
       List.iter
         (fun d -> Ops.Hash_index.add b.hash_l d)
         (take bs.nb_hashed_l bs.nb_deltas_l);

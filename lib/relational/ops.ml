@@ -240,36 +240,19 @@ let difference ?device left right =
   charge_output device (Array.length result);
   result
 
-let merge_sorted_join ?device ~key_l ~key_r ~residual ~residual_comparisons
-    left right =
+let merge_sorted_join ~key_l ~key_r ~residual ~residual_comparisons:_ left
+    right =
   let out = ref [] in
-  let consider a b =
-    (match device with
-    | None -> ()
-    | Some d -> Device.check_tuples d ~n:1 ~comparisons:residual_comparisons);
-    let t = Tuple.concat a b in
-    if residual t then out := t :: !out
-  in
-  merge_groups ?device ~key_l ~key_r left right consider;
+  merge_groups ~key_l ~key_r left right (fun a b ->
+      let t = Tuple.concat a b in
+      if residual t then out := t :: !out);
   List.rev !out
 
-let merge_join_counted ~key_l ~key_r ~residual left right =
-  let out = ref [] in
-  let candidates = ref 0 in
-  let consider a b =
-    incr candidates;
-    let t = Tuple.concat a b in
-    if residual t then out := t :: !out
-  in
-  merge_groups ~key_l ~key_r left right consider;
-  (List.rev !out, !candidates)
-
-let merge_sorted_intersect ?device left right =
+let merge_sorted_intersect left right =
   let arity = if Array.length left > 0 then Tuple.arity left.(0) else 0 in
   let key = Array.init arity (fun i -> i) in
   let out = ref [] in
-  merge_groups ?device ~key_l:key ~key_r:key left right (fun a _ ->
-      out := a :: !out);
+  merge_groups ~key_l:key ~key_r:key left right (fun a _ -> out := a :: !out);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

@@ -69,29 +69,27 @@ val split_equi_pairs :
     predicate (which includes any equi pair that does not span both
     sides). *)
 
+val merge_groups :
+  ?device:Device.t -> key_l:int array -> key_r:int array -> Tuple.t array ->
+  Tuple.t array -> (Tuple.t -> Tuple.t -> unit) -> unit
+(** Merge two arrays sorted on [key_l] and [key_r], comparing through
+    {!Value.compare}; [emit] receives every cross pair of each key-equal
+    group, left index outer, right index inner. Charges one merge step
+    per tuple read. The reference merge: {!Sorted_run.merge_pairs}
+    falls back to it and must emit the same pairs. *)
+
 val merge_sorted_join :
-  ?device:Device.t -> key_l:int array -> key_r:int array ->
-  residual:(Tuple.t -> bool) -> residual_comparisons:int ->
-  Tuple.t array -> Tuple.t array -> Tuple.t list
-(** One pairing merge of the full-fulfillment plan (Figure 4.5): both
-    inputs already sorted by their keys; emits the concatenated tuples
-    whose residual predicate holds. Charges merge reads and residual
-    checks only — the caller accounts for output pages. *)
-
-val merge_sorted_intersect :
-  ?device:Device.t -> Tuple.t array -> Tuple.t array -> Tuple.t list
-(** Pairing merge for Intersect: inputs sorted on all fields; emits the
-    left tuple of each matching cross pair. *)
-
-val merge_join_counted :
   key_l:int array -> key_r:int array -> residual:(Tuple.t -> bool) ->
-  Tuple.t array -> Tuple.t array -> Tuple.t list * int
-(** Pure {!merge_sorted_join}: same output list, plus the number of
-    key-equal candidate pairs considered. Charges nothing — parallel
-    workers run this on their shard and the caller replays the charges
-    ([merge_tuples nl+nr], then one residual check per candidate) on
-    the master device in canonical order, which is what keeps N-domain
-    runs bit-identical to sequential ones. *)
+  residual_comparisons:int -> Tuple.t array -> Tuple.t array -> Tuple.t list
+(** One pairing merge of the full-fulfillment plan (Figure 4.5) on
+    {!merge_groups}: both inputs already sorted by their keys; emits
+    the concatenated tuples whose residual predicate holds. Charges
+    nothing, so [residual_comparisons] (the per-candidate check a
+    charging caller replays) is unused. *)
+
+val merge_sorted_intersect : Tuple.t array -> Tuple.t array -> Tuple.t list
+(** Pairing merge for Intersect: inputs sorted on all fields; emits the
+    left tuple of each matching cross pair. Charges nothing. *)
 
 val compare_with_key : int array -> Tuple.t -> Tuple.t -> int
 (** Order by the key positions, then by all fields (the sort order

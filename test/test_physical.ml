@@ -1,7 +1,9 @@
 (* The hash evaluation path: algebraic equivalence to the sort-merge
    operators (property tests against a nested-loop oracle), estimator
    bit-identity across physical paths at fixed stage fractions, and the
-   late-stage cost advantage that motivates the path. *)
+   late-stage cost advantage that motivates the path. Then the int-keyed
+   sorted runs against the Value.compare reference, and generated join
+   queries against the exact evaluator. *)
 
 open Taqp_data
 open Taqp_relational
@@ -308,6 +310,488 @@ let test_forced_switch_catch_up () =
         b.Count_estimator.variance)
     sort_r adaptive_r
 
+(* ------------------------------------------------------------------ *)
+(* Int-keyed sorted runs against the Value.compare reference           *)
+
+(* Duplicate-heavy ints, negatives and both extremes. *)
+let key_int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun i -> Value.Int i) (int_range (-3) 3));
+        (1, return (Value.Int min_int));
+        (1, return (Value.Int max_int));
+      ])
+
+(* Key values off the int path. [Float 2.0] compares equal to [Int 2],
+   so a delta mixing the two must still merge across types. *)
+let odd_keys =
+  [ Value.Float 2.0; Value.Float (-0.5); Value.String "k"; Value.Null ]
+
+(* [w] distinct positions of an [arity]-field tuple, in random order. *)
+let key_gen ~arity w =
+  QCheck.Gen.map
+    (fun l -> Array.of_list (List.filteri (fun i _ -> i < w) l))
+    (QCheck.Gen.shuffle_l (List.init arity Fun.id))
+
+let set_field t pos v =
+  let f = Tuple.fields t in
+  f.(pos) <- v;
+  Tuple.make f
+
+(* 0-400 all-int tuples; one delta in four then gets a few non-int
+   values in its key columns, which must send it down the fallback. *)
+let delta_gen ~arity ~key =
+  QCheck.Gen.(
+    array_size (int_range 0 400)
+      (map
+         (fun vs -> Tuple.make (Array.of_list vs))
+         (list_repeat arity key_int_gen))
+    >>= fun tuples ->
+    let n = Array.length tuples in
+    if n = 0 then return tuples
+    else
+      frequency
+        [
+          (3, return tuples);
+          ( 1,
+            list_size (int_range 1 3)
+              (triple (int_bound (n - 1))
+                 (int_bound (Array.length key - 1))
+                 (oneofl odd_keys))
+            >|= fun spoils ->
+            let t = Array.copy tuples in
+            List.iter
+              (fun (i, c, v) -> t.(i) <- set_field t.(i) key.(c) v)
+              spoils;
+            t );
+        ])
+
+let print_delta (key, tuples) =
+  Fmt.str "key=[%a] %a" Fmt.(array ~sep:semi int) key
+    Fmt.(array ~sep:sp Tuple.pp)
+    tuples
+
+let fields_equal a b = compare (Tuple.fields a) (Tuple.fields b) = 0
+
+let same_fields xs ys =
+  List.length xs = List.length ys && List.for_all2 fields_equal xs ys
+
+let same_pairs xs ys =
+  List.length xs = List.length ys
+  && List.for_all2
+       (fun (a, b) (c, d) -> fields_equal a c && fields_equal b d)
+       xs ys
+
+let reference_sort ~arity key tuples =
+  let s = Array.copy tuples in
+  Array.sort (Ops.key_comparator ~arity key) s;
+  s
+
+let run_of ~arity key tuples =
+  Sorted_run.sort ~key ~cmp:(Ops.key_comparator ~arity key) tuples
+
+let all_int_keys key tuples =
+  Array.for_all
+    (fun t ->
+      Array.for_all
+        (fun k -> match Tuple.get t k with Value.Int _ -> true | _ -> false)
+        key)
+    tuples
+
+let pairs_of merge =
+  let acc = ref [] in
+  merge (fun a b -> acc := (a, b) :: !acc);
+  List.rev !acc
+
+let prop_run_sort_matches_reference =
+  QCheck.Test.make ~name:"Sorted_run.sort = Array.sort key_comparator"
+    ~count:200
+    (QCheck.make ~print:print_delta
+       QCheck.Gen.(
+         int_range 1 3 >>= key_gen ~arity:4 >>= fun key ->
+         map (fun d -> (key, d)) (delta_gen ~arity:4 ~key)))
+    (fun (key, tuples) ->
+      let run = run_of ~arity:4 key tuples in
+      same_fields
+        (Array.to_list run.Sorted_run.tuples)
+        (Array.to_list (reference_sort ~arity:4 key tuples))
+      && Option.is_some run.Sorted_run.keys = all_int_keys key tuples
+      && run.Sorted_run.keys = Sorted_run.int_keys ~key run.Sorted_run.tuples)
+
+(* Join: left arity 4, right arity 3, equal key widths; the residual
+   compares one non-key-aligned field of each side. *)
+let prop_run_join_matches_reference =
+  QCheck.Test.make ~name:"Sorted_run join merge = Ops.merge_groups" ~count:100
+    (QCheck.make
+       ~print:(fun (kl, l, kr, r) ->
+         print_delta (kl, l) ^ " | " ^ print_delta (kr, r))
+       QCheck.Gen.(
+         int_range 1 3 >>= fun w ->
+         pair (key_gen ~arity:4 w) (key_gen ~arity:3 w) >>= fun (kl, kr) ->
+         pair (delta_gen ~arity:4 ~key:kl) (delta_gen ~arity:3 ~key:kr)
+         >|= fun (l, r) -> (kl, l, kr, r)))
+    (fun (key_l, left, key_r, right) ->
+      let rl = run_of ~arity:4 key_l left in
+      let rr = run_of ~arity:3 key_r right in
+      let sl = reference_sort ~arity:4 key_l left in
+      let sr = reference_sort ~arity:3 key_r right in
+      let want = pairs_of (Ops.merge_groups ~key_l ~key_r sl sr) in
+      let residual t = Value.compare (Tuple.get t 1) (Tuple.get t 5) <= 0 in
+      let out, candidates =
+        Sorted_run.merge_join ~key_l ~key_r ~residual rl rr
+      in
+      same_pairs (pairs_of (Sorted_run.merge_pairs ~key_l ~key_r rl rr)) want
+      && candidates = List.length want
+      && same_fields out
+           (Ops.merge_sorted_join ~key_l ~key_r ~residual
+              ~residual_comparisons:0 sl sr))
+
+let prop_run_intersect_matches_reference =
+  let key = [| 0; 1 |] in
+  QCheck.Test.make ~name:"Sorted_run intersect merge = Ops.merge_groups"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (l, r) ->
+         print_delta (key, l) ^ " | " ^ print_delta (key, r))
+       QCheck.Gen.(pair (delta_gen ~arity:2 ~key) (delta_gen ~arity:2 ~key)))
+    (fun (left, right) ->
+      let rl = run_of ~arity:2 key left and rr = run_of ~arity:2 key right in
+      let sl = reference_sort ~arity:2 key left in
+      let sr = reference_sort ~arity:2 key right in
+      same_pairs
+        (pairs_of (Sorted_run.merge_pairs ~key_l:key ~key_r:key rl rr))
+        (pairs_of (Ops.merge_groups ~key_l:key ~key_r:key sl sr))
+      && same_fields (Sorted_run.merge_intersect ~key rl rr)
+           (Ops.merge_sorted_intersect sl sr))
+
+(* Every non-int key kind, alone in an otherwise-int delta, takes the
+   fallback and still sorts and merges like the reference. *)
+let test_run_fallback_kinds () =
+  let key = [| 0 |] in
+  let ints = Array.init 30 (fun i -> mk2 (i mod 4) (i mod 3)) in
+  List.iter
+    (fun v ->
+      let name = Value.to_string v in
+      let left = Array.copy ints in
+      left.(7) <- set_field left.(7) 0 v;
+      let rl = run_of ~arity:2 key left and rr = run_of ~arity:2 key ints in
+      checkb (name ^ ": no int keys") true (rl.Sorted_run.keys = None);
+      checkb (name ^ ": right side keeps them") true
+        (rr.Sorted_run.keys <> None);
+      let sl = reference_sort ~arity:2 key left in
+      let sr = reference_sort ~arity:2 key ints in
+      checkb (name ^ ": sort") true
+        (same_fields (Array.to_list rl.Sorted_run.tuples) (Array.to_list sl));
+      checkb (name ^ ": merge") true
+        (same_pairs
+           (pairs_of (Sorted_run.merge_pairs ~key_l:key ~key_r:key rl rr))
+           (pairs_of (Ops.merge_groups ~key_l:key ~key_r:key sl sr))))
+    odd_keys
+
+let test_run_int_extremes () =
+  (* A subtraction comparator calls min_int greater than max_int, so the
+     merge would step past the right side's max_int group before the
+     left side reached it. *)
+  checkb "subtraction overflows" true (min_int - max_int > 0);
+  let t k = mk2 k 0 in
+  let key = [| 0 |] in
+  let left = run_of ~arity:2 key [| t max_int; t min_int; t 0; t max_int |] in
+  checkb "sorted keys" true
+    (left.Sorted_run.keys = Some [| min_int; 0; max_int; max_int |]);
+  checkb "sorted tuples" true
+    (Array.for_all2 fields_equal left.Sorted_run.tuples
+       [| t min_int; t 0; t max_int; t max_int |]);
+  let right = run_of ~arity:2 key [| t max_int |] in
+  let pairs =
+    pairs_of (Sorted_run.merge_pairs ~key_l:key ~key_r:key left right)
+  in
+  checkb "both max_int pairs" true
+    (same_pairs pairs [ (t max_int, t max_int); (t max_int, t max_int) ])
+
+(* ------------------------------------------------------------------ *)
+(* Full-field ties are unobservable                                    *)
+
+module Heap_file = Taqp_storage.Heap_file
+module Catalog = Taqp_storage.Catalog
+
+(* The int sort may order tuples whose fields all compare equal
+   differently from Array.sort. That is invisible only if such tuples
+   also carry equal pads wherever a sort sees them: as stored, and as
+   joined. *)
+let prop_equal_fields_equal_pads =
+  let schema =
+    Schema.make
+      [
+        { Schema.name = "k"; ty = Value.Tint };
+        { Schema.name = "s"; ty = Value.Tstring };
+        { Schema.name = "x"; ty = Value.Tfloat };
+      ]
+  in
+  let tuple_gen =
+    QCheck.Gen.(
+      map
+        (fun (k, s, x, pad) -> Tuple.make ~pad [| k; s; x |])
+        (quad
+           (oneofl [ Value.Int 0; Value.Int 1; Value.Null ])
+           (oneofl [ Value.String "a"; Value.String "bb"; Value.Null ])
+           (oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float 1.5 ])
+           (int_bound 40)))
+  in
+  QCheck.Test.make ~name:"equal fields => equal pads, stored and joined"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 12) tuple_gen))
+    (fun tuples ->
+      let file = Heap_file.create ~tuple_bytes:64 ~schema tuples in
+      let stored = Heap_file.fold (fun acc t -> t :: acc) [] file in
+      let joined =
+        List.concat_map (fun a -> List.map (Tuple.concat a) stored) stored
+      in
+      let pads_agree ts =
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b -> Tuple.compare a b <> 0 || Tuple.pad a = Tuple.pad b)
+              ts)
+          ts
+      in
+      pads_agree stored && pads_agree joined)
+
+(* Two relations of 300 tuples over 39 distinct (key, v) values, each
+   built with varying pads: the 3-way join's sorts see long runs of
+   tuples whose fields are all equal. *)
+let dup_catalog =
+  lazy
+    (let schema =
+       Schema.make
+         [
+           { Schema.name = "key"; ty = Value.Tint };
+           { Schema.name = "v"; ty = Value.Tint };
+         ]
+     in
+     let rel mult =
+       Heap_file.create ~tuple_bytes:100 ~schema
+         (List.init 300 (fun i ->
+              Tuple.make ~pad:(i mod 7)
+                [| Value.Int (i * mult mod 13); Value.Int (i mod 3) |]))
+     in
+     Catalog.of_list [ ("d1", rel 5); ("d2", rel 7) ])
+
+let eq a b = Predicate.Cmp (Predicate.Eq, Predicate.Attr a, Predicate.Attr b)
+
+let dup_query =
+  Ra.Join
+    ( eq "b.key" "c.key",
+      Ra.Join
+        ( eq "a.key" "b.key",
+          Ra.relation ~alias:"a" "d1",
+          Ra.relation ~alias:"b" "d2" ),
+      Ra.relation ~alias:"c" "d1" )
+
+(* Per-stage estimate, variance and 95% CI of 4 stages at f = 0.1,
+   and a digest of the full trace. *)
+let dup_run ~physical aggregate =
+  let config = { Config.default with Config.physical } in
+  let clock = Fixtures.Clock.create_virtual () in
+  let sink, events = Taqp_obs.Sink.memory () in
+  let tracer =
+    Taqp_obs.Tracer.make ~now:(fun () -> Fixtures.Clock.now clock) ~sink
+  in
+  let device =
+    Fixtures.Device.create
+      ~params:(Fixtures.Cost_params.no_jitter Fixtures.Cost_params.default)
+      ~tracer clock
+  in
+  let staged =
+    Staged.compile ~aggregate ~catalog:(Lazy.force dup_catalog) ~config
+      ~rng:(Fixtures.Prng.create 11) ~cost_model:(Cost_model.create ())
+      dup_query
+  in
+  let stages =
+    List.init 4 (fun _ ->
+        match Staged.run_stage staged ~device ~f:0.1 with
+        | None -> "exhausted"
+        | Some r ->
+            let e = r.Staged.estimate in
+            let ci = Count_estimator.confidence ~level:0.95 e in
+            Fmt.str "%.17g %.17g %.17g %.17g" e.Count_estimator.estimate
+              e.Count_estimator.variance ci.Taqp_stats.Confidence.center
+              ci.Taqp_stats.Confidence.half_width)
+  in
+  Taqp_obs.Tracer.close tracer;
+  let trace =
+    String.concat "\n"
+      (List.map
+         (fun ev -> Taqp_obs.Json.to_string (Taqp_obs.Event.to_json ev))
+         (events ()))
+  in
+  (stages, Digest.to_hex (Digest.string trace))
+
+(* The pinned values come from the engine as it was when the sort-merge
+   path sorted every delta with Array.sort: the int sort must change
+   none of them. *)
+let test_duplicate_tuples_pinned () =
+  let checks = Alcotest.check Alcotest.string in
+  let check_aggregate name aggregate ~final ~stages_digest =
+    let sort_stages, sort_trace =
+      dup_run ~physical:Config.Sort_merge aggregate
+    in
+    let hash_stages, _ = dup_run ~physical:Config.Hash aggregate in
+    List.iter2 (checks (name ^ ": sort = hash")) hash_stages sort_stages;
+    checks (name ^ ": final stage pinned") final (List.nth sort_stages 3);
+    checks
+      (name ^ ": every stage pinned")
+      stages_digest
+      (Digest.to_hex (Digest.string (String.concat "\n" sort_stages)));
+    checks (name ^ ": sort trace pinned") "30241128a1f01c78062ccca69412c401"
+      sort_trace
+  in
+  check_aggregate "count" Taqp_core.Aggregate.Count
+    ~final:"161468.75 2347359.408677862 161468.75 3002.8775593423916"
+    ~stages_digest:"2ef4ed5ce966f5d30d2b2102b5bb1a56";
+  check_aggregate "sum" (Taqp_core.Aggregate.Sum "a.v")
+    ~final:"160843.75 3884465.508167793 160843.75 3862.8999861619632"
+    ~stages_digest:"ce7267b31a51e9f387971a14301b1a84"
+
+(* ------------------------------------------------------------------ *)
+(* Generated join and intersect queries against the exact evaluator   *)
+
+(* Three small relations (k, v) sharing one key type, with duplicate
+   keys and duplicate tuples. Float and String keys take the fallback
+   merge; Int keys include both extremes. *)
+let gen_catalog_gen =
+  QCheck.Gen.(
+    oneofl [ Value.Tint; Value.Tint; Value.Tint; Value.Tfloat; Value.Tstring ]
+    >>= fun ty ->
+    let key =
+      match ty with
+      | Value.Tfloat ->
+          oneofl [ Value.Float (-1.5); Value.Float 0.0; Value.Float 2.0 ]
+      | Value.Tstring ->
+          oneofl [ Value.String "a"; Value.String "b"; Value.String "c" ]
+      | Value.Tint | Value.Tbool ->
+          frequency
+            [
+              (6, map (fun i -> Value.Int i) (int_range (-2) 2));
+              (1, oneofl [ Value.Int min_int; Value.Int max_int ]);
+            ]
+    in
+    let rel = list_size (int_range 5 40) (pair key (int_range 0 2)) in
+    triple rel rel rel >|= fun (r0, r1, r2) -> (ty, [ r0; r1; r2 ]))
+
+let gen_catalog (ty, rels) =
+  let schema =
+    Schema.make
+      [ { Schema.name = "k"; ty }; { Schema.name = "v"; ty = Value.Tint } ]
+  in
+  Catalog.of_list
+    (List.mapi
+       (fun i rows ->
+         ( Printf.sprintf "r%d" i,
+           Heap_file.create ~tuple_bytes:100 ~schema
+             (List.map (fun (k, v) -> Tuple.make [| k; Value.Int v |]) rows) ))
+       rels)
+
+let gen_queries =
+  let rel i alias = Ra.relation ~alias (Printf.sprintf "r%d" i) in
+  let ab = (rel 0 "a", rel 1 "b") in
+  [
+    ("join", Ra.Join (eq "a.k" "b.k", fst ab, snd ab));
+    ( "join+residual",
+      Ra.Join
+        ( Predicate.And
+            ( eq "a.k" "b.k",
+              Predicate.Cmp
+                (Predicate.Le, Predicate.Attr "a.v", Predicate.Attr "b.v") ),
+          fst ab,
+          snd ab ) );
+    ( "3-way join",
+      Ra.Join
+        (eq "b.k" "c.k", Ra.Join (eq "a.k" "b.k", fst ab, snd ab), rel 2 "c")
+    );
+    ("intersect", Ra.Intersect (fst ab, snd ab));
+    ( "intersect-join",
+      Ra.Join (eq "a.k" "c.k", Ra.Intersect (fst ab, snd ab), rel 2 "c") );
+  ]
+
+let fixed_schedule ~physical catalog query =
+  let config = { Config.default with Config.physical } in
+  let staged =
+    Staged.compile ~catalog ~config ~rng:(Fixtures.Prng.create 5)
+      ~cost_model:(Cost_model.create ()) query
+  in
+  let _, device = Fixtures.quiet_device () in
+  let rec go acc =
+    match Staged.run_stage staged ~device ~f:0.3 with
+    | None -> List.rev acc
+    | Some r ->
+        let e = r.Staged.estimate in
+        let ci = Count_estimator.confidence ~level:0.95 e in
+        go
+          (( e.Count_estimator.estimate,
+             e.Count_estimator.variance,
+             ci.Taqp_stats.Confidence.half_width )
+          :: acc)
+  in
+  go []
+
+let report_fingerprint ~physical ~domains catalog query =
+  let config = { Fixtures.observe_config with Config.physical; domains } in
+  let rng = Fixtures.Prng.create 3 in
+  let clock = Fixtures.Clock.create_virtual () in
+  let device =
+    Fixtures.Device.create ~params:Fixtures.Cost_params.default
+      ~jitter_rng:(Fixtures.Prng.split rng) clock
+  in
+  let r =
+    Taqp_core.Executor.run ~config ~device ~catalog ~rng ~quota:2.0 query
+  in
+  Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%a" r.Taqp_core.Report.estimate
+    r.Taqp_core.Report.variance
+    r.Taqp_core.Report.confidence.Taqp_stats.Confidence.half_width
+    r.Taqp_core.Report.elapsed r.Taqp_core.Report.stages_completed
+    Taqp_storage.Io_stats.pp r.Taqp_core.Report.io
+
+let physicals = [ Config.Sort_merge; Config.Hash; Config.Adaptive ]
+
+let prop_generated_queries =
+  QCheck.Test.make ~name:"generated joins: exact at exhaustion, paths agree"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (ty, rels) ->
+         Fmt.str "%s %a" (Value.ty_name ty)
+           Fmt.(
+             list ~sep:semi
+               (list ~sep:comma (pair ~sep:(any ":") Value.pp int)))
+           rels)
+       gen_catalog_gen)
+    (fun case ->
+      let catalog = gen_catalog case in
+      Staged.set_parallel_threshold 1;
+      Fun.protect
+        ~finally:(fun () -> Staged.set_parallel_threshold 2048)
+        (fun () ->
+          List.for_all
+            (fun (_, query) ->
+              let exact = float_of_int (Eval.count catalog query) in
+              let runs =
+                List.map
+                  (fun physical -> fixed_schedule ~physical catalog query)
+                  physicals
+              in
+              let last l =
+                match List.rev l with (e, _, _) :: _ -> e | [] -> nan
+              in
+              List.for_all
+                (fun r -> compare r (List.hd runs) = 0 && last r = exact)
+                runs
+              && List.for_all
+                   (fun physical ->
+                     report_fingerprint ~physical ~domains:1 catalog query
+                     = report_fingerprint ~physical ~domains:2 catalog query)
+                   physicals)
+            gen_queries))
+
 let () =
   Alcotest.run "physical"
     [
@@ -337,4 +821,21 @@ let () =
           Alcotest.test_case "forced switch catch-up" `Quick
             test_forced_switch_catch_up;
         ] );
+      ( "int-runs",
+        [
+          QCheck_alcotest.to_alcotest prop_run_sort_matches_reference;
+          QCheck_alcotest.to_alcotest prop_run_join_matches_reference;
+          QCheck_alcotest.to_alcotest prop_run_intersect_matches_reference;
+          Alcotest.test_case "fallback key kinds" `Quick
+            test_run_fallback_kinds;
+          Alcotest.test_case "int extremes" `Quick test_run_int_extremes;
+        ] );
+      ( "ties",
+        [
+          QCheck_alcotest.to_alcotest prop_equal_fields_equal_pads;
+          Alcotest.test_case "duplicate tuples pinned" `Quick
+            test_duplicate_tuples_pinned;
+        ] );
+      ( "generated",
+        [ QCheck_alcotest.to_alcotest prop_generated_queries ] );
     ]
