@@ -44,11 +44,19 @@ let key_uid = function
   | K_block (u, _) | K_sorted (u, _, _, _, _, _) | K_hash (u, _, _, _, _, _) ->
       u
 
+(* Each entry sits in the ring of its cost class: every entry of one
+   [s_cost], oldest [s_last_use] first, linked through a sentinel whose
+   [s_next] is the head and [s_prev] the tail. A sentinel is a [stored]
+   too, holding no value, and is its own [s_ring]. *)
 type stored = {
+  s_key : key;
   s_bytes : int;
   s_cost : float;  (* virtual seconds to rebuild on a miss *)
   mutable s_last_use : int;  (* logical access tick *)
   s_value : value;
+  s_ring : stored;  (* the sentinel of this entry's cost class *)
+  mutable s_prev : stored;
+  mutable s_next : stored;
 }
 
 type binding = {
@@ -76,6 +84,9 @@ type t = {
   budget_bytes : int;
   seed : int;
   store : (key, stored) Hashtbl.t;
+  classes : (float, stored) Hashtbl.t;
+      (* cost -> sentinel of that cost's ring; a class leaves with its
+         last entry *)
   prefixes : (int * int, prefix) Hashtbl.t;  (* (uid, kind tag) *)
   generations : (int, int) Hashtbl.t;
   mutable bytes : int;
@@ -96,6 +107,7 @@ let create ?(budget_mb = 16.0) ?(seed = 0) () =
     budget_bytes = int_of_float (budget_mb *. 1024.0 *. 1024.0);
     seed;
     store = Hashtbl.create 1024;
+    classes = Hashtbl.create 16;
     prefixes = Hashtbl.create 16;
     generations = Hashtbl.create 16;
     bytes = 0;
@@ -145,17 +157,52 @@ let miss (t : t) = t.misses <- t.misses + 1; sync_binding t
 let drop_memos t = Hashtbl.reset t.memos
 
 (* ------------------------------------------------------------------ *)
+(* Cost classes                                                        *)
+
+let ring_of t cost =
+  match Hashtbl.find_opt t.classes cost with
+  | Some ring -> ring
+  | None ->
+      let rec ring =
+        {
+          s_key = K_block (-1, -1);
+          s_bytes = 0;
+          s_cost = cost;
+          s_last_use = 0;
+          s_value = Block [||];
+          s_ring = ring;
+          s_prev = ring;
+          s_next = ring;
+        }
+      in
+      Hashtbl.replace t.classes cost ring;
+      ring
+
+let unlink s =
+  s.s_prev.s_next <- s.s_next;
+  s.s_next.s_prev <- s.s_prev
+
+let link_tail s =
+  let ring = s.s_ring in
+  s.s_prev <- ring.s_prev;
+  s.s_next <- ring;
+  ring.s_prev.s_next <- s;
+  ring.s_prev <- s
+
+let remove_entry t s =
+  Hashtbl.remove t.store s.s_key;
+  unlink s;
+  if s.s_ring.s_next == s.s_ring then Hashtbl.remove t.classes s.s_cost;
+  t.bytes <- t.bytes - s.s_bytes;
+  drop_memos t
+
+(* ------------------------------------------------------------------ *)
 (* Generations and invalidation                                        *)
 
 let gen_of_uid t uid =
   match Hashtbl.find_opt t.generations uid with Some g -> g | None -> 0
 
 let generation t file = gen_of_uid t (Heap_file.uid file)
-
-let remove_entry t k s =
-  Hashtbl.remove t.store k;
-  t.bytes <- t.bytes - s.s_bytes;
-  drop_memos t
 
 let invalidate_relation t file =
   let uid = Heap_file.uid file in
@@ -164,45 +211,63 @@ let invalidate_relation t file =
   Hashtbl.remove t.prefixes (uid, kind_tag Tuples);
   let doomed =
     Hashtbl.fold
-      (fun k s acc -> if key_uid k = uid then (k, s) :: acc else acc)
+      (fun k s acc -> if key_uid k = uid then s :: acc else acc)
       t.store []
   in
-  List.iter (fun (k, s) -> remove_entry t k s) doomed;
+  List.iter (remove_entry t) doomed;
   sync_binding t
 
 (* ------------------------------------------------------------------ *)
-(* Eviction: lowest refetch-cost-per-age first, by an O(n) scan of the
-   whole store per evicted entry. A store that has filled its budget
-   stays at it, so once warm nearly every insert evicts and pays one
-   full scan. That scan is the cache's largest host cost (nearly a
-   quarter of the e2e benchmark's mixed_cache replay time,
-   docs/CACHING.md). *)
+(* Eviction: the entry with the lowest refetch cost per age of ticks
+   goes first; an exact tie goes to the older [s_last_use]. Within a
+   cost class the ring's head is the oldest entry, so it has the class's
+   lowest score, and the victim is the best of the heads: one score per
+   class, not per entry. Costs are non-negative, which keeps a class's
+   score order its age order. *)
+
+let score t s = s.s_cost /. float_of_int (t.tick - s.s_last_use + 1)
+
+let victim t =
+  Hashtbl.fold
+    (fun _ ring best ->
+      let s = ring.s_next in
+      let sc = score t s in
+      match best with
+      | Some (b, bc) when bc < sc || (bc = sc && b.s_last_use < s.s_last_use)
+        ->
+          best
+      | Some _ | None -> Some (s, sc))
+    t.classes None
 
 let evict_until_fits t =
   while t.bytes > t.budget_bytes && Hashtbl.length t.store > 0 do
-    let victim =
-      Hashtbl.fold
-        (fun k s acc ->
-          let age = float_of_int (t.tick - s.s_last_use + 1) in
-          let score = s.s_cost /. age in
-          match acc with
-          | Some (_, _, best) when best <= score -> acc
-          | _ -> Some (k, s, score))
-        t.store None
-    in
-    match victim with
+    match victim t with
     | None -> ()
-    | Some (k, s, _) ->
-        remove_entry t k s;
+    | Some (s, _) ->
+        remove_entry t s;
         t.evictions <- t.evictions + 1
   done;
   sync_binding t
 
 let insert t k ~bytes ~cost v =
+  if not (cost >= 0.0) then invalid_arg "Cache: refetch cost < 0 or NaN";
   if bytes <= t.budget_bytes && not (Hashtbl.mem t.store k) then begin
     t.tick <- t.tick + 1;
-    Hashtbl.replace t.store k
-      { s_bytes = bytes; s_cost = cost; s_last_use = t.tick; s_value = v };
+    let ring = ring_of t cost in
+    let s =
+      {
+        s_key = k;
+        s_bytes = bytes;
+        s_cost = cost;
+        s_last_use = t.tick;
+        s_value = v;
+        s_ring = ring;
+        s_prev = ring;
+        s_next = ring;
+      }
+    in
+    link_tail s;
+    Hashtbl.replace t.store k s;
     t.bytes <- t.bytes + bytes;
     drop_memos t;
     evict_until_fits t
@@ -213,6 +278,8 @@ let lookup t k =
   match Hashtbl.find_opt t.store k with
   | Some s ->
       s.s_last_use <- t.tick;
+      unlink s;
+      link_tail s;
       hit t;
       Some s.s_value
   | None ->
@@ -349,6 +416,8 @@ let store_block t ~file i ~cost tuples =
     ~bytes:(Array.length tuples * Heap_file.tuple_bytes file)
     ~cost (Block tuples)
 
+let mem_block t ~file i = Hashtbl.mem t.store (K_block (Heap_file.uid file, i))
+
 let summary_key ctor t file ~kind ~lo ~hi ~key =
   let uid = Heap_file.uid file in
   ctor uid (gen_of_uid t uid) (kind_tag kind) lo hi (Array.to_list key)
@@ -360,6 +429,9 @@ let find_sorted_run t ~file ~kind ~lo ~hi ~key =
   match lookup t (summary_key k_sorted t file ~kind ~lo ~hi ~key) with
   | Some (Sorted a) -> Some a
   | Some _ | None -> None
+
+let mem_sorted_run t ~file ~kind ~lo ~hi ~key =
+  Hashtbl.mem t.store (summary_key k_sorted t file ~kind ~lo ~hi ~key)
 
 (* The byte charge counts the tuples only: the keys are a host-side
    copy of fields already counted, and charging them would move every

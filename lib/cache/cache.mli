@@ -22,7 +22,14 @@
     keeps every spend on the audited {!Taqp_storage.Device} funnel.
 
     Eviction is LRU-by-virtual-cost: when stored bytes exceed the
-    budget, the entry with the lowest [refetch_cost / age] goes first.
+    budget, the entry with the lowest [refetch_cost / age] goes first,
+    where [age] counts the ticks (lookups and inserts) since its last
+    use. An exact tie goes to the entry used longer ago. Entries are
+    kept in one LRU list per distinct refetch cost, so within a list the
+    head scores lowest; picking a victim compares the list heads only.
+    One eviction costs O(number of distinct costs), not O(entries):
+    blocks share one cost, and sorted runs and hash indexes have one per
+    size. A lookup hit moves its entry to the tail of its list in O(1).
     Sample prefixes are the correctness backbone (without-replacement
     bookkeeping) and are never evicted; they are a few words per unit.
 
@@ -97,7 +104,14 @@ val find_block : t -> file:Taqp_storage.Heap_file.t -> int ->
 val store_block : t -> file:Taqp_storage.Heap_file.t -> int -> cost:float ->
   Taqp_data.Tuple.t array -> unit
 (** Retain block [i] read at virtual [cost] seconds (the refetch price
-    eviction weighs against age). May evict. *)
+    eviction weighs against age). May evict, the new block included.
+    Every [store_*] function takes a [cost >= 0]: only then is a
+    cost's LRU list in score order.
+    @raise Invalid_argument if [cost] is negative or NaN. *)
+
+val mem_block : t -> file:Taqp_storage.Heap_file.t -> int -> bool
+(** Whether block [i] is resident. Read-only: counts no hit or miss and
+    moves no tick, so it changes no eviction. *)
 
 (** {2 Stage summaries} *)
 
@@ -106,6 +120,10 @@ val find_sorted_run : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
 (** A sorted run over [kind]-prefix offsets [lo, hi) of the relation's
     current generation, ordered by tuple positions [key], with the int
     keys it was stored with. Counts hit/miss. *)
+
+val mem_sorted_run : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
+  lo:int -> hi:int -> key:int array -> bool
+(** Whether that sorted run is resident, read-only like {!mem_block}. *)
 
 val store_sorted_run : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
   lo:int -> hi:int -> key:int array -> cost:float -> ?keys:int array ->

@@ -18,52 +18,3 @@ let ranges ~n ~k =
     done;
     out
   end
-
-let weighted ~weights ~k =
-  if k < 1 then invalid_arg "Shard.weighted: k < 1";
-  Array.iter
-    (fun w -> if w < 0.0 then invalid_arg "Shard.weighted: negative weight")
-    weights;
-  let n = Array.length weights in
-  if n = 0 then [||]
-  else begin
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    let target = total /. float_of_int k in
-    let out = ref [] in
-    let lo = ref 0 and acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. weights.(i);
-      (* Close the range once it carries its share, but never leave the
-         remaining units without room for at least one unit per range. *)
-      let remaining_ranges = k - List.length !out in
-      let must_close = n - i <= remaining_ranges - 1 in
-      if
-        (!acc >= target && remaining_ranges > 1 && i < n - 1)
-        || must_close
-      then begin
-        out := { lo = !lo; hi = i + 1 } :: !out;
-        lo := i + 1;
-        acc := 0.0
-      end
-    done;
-    if !lo < n then out := { lo = !lo; hi = n } :: !out;
-    Array.of_list (List.rev !out)
-  end
-
-let owner ~ranges u =
-  let n = Array.length ranges in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if u >= ranges.(i).lo && u < ranges.(i).hi then i
-    else go (i + 1)
-  in
-  go 0
-
-let partition ~ranges units =
-  let out = Array.make (Array.length ranges) [] in
-  List.iter
-    (fun u ->
-      let j = owner ~ranges u in
-      out.(j) <- u :: out.(j))
-    units;
-  Array.map List.rev out

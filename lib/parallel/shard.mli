@@ -18,21 +18,3 @@ val ranges : n:int -> k:int -> range array
     differ by at most one (the first [n mod k] ranges get the extra
     unit). [k] is clamped to at least 1; [n = 0] yields no ranges.
     @raise Invalid_argument if [n < 0]. *)
-
-val weighted : weights:float array -> k:int -> range array
-(** Partition [0, Array.length weights) into at most [k] contiguous
-    ranges balancing total weight: a greedy sweep closes a range once
-    it holds at least [total/k] weight. Never returns an empty range;
-    skewed weights therefore produce fewer, heavier ranges rather than
-    empty shards.
-    @raise Invalid_argument on a negative weight or [k < 1]. *)
-
-val owner : ranges:range array -> int -> int
-(** Index of the range containing unit [u].
-    @raise Not_found if no range holds [u]. *)
-
-val partition : ranges:range array -> int list -> int list array
-(** Split a unit list (e.g. one stage's drawn sample units) by owning
-    range, preserving the input order inside each shard — the
-    stratification step of the per-shard estimator merge.
-    @raise Not_found if a unit lies in no range. *)

@@ -466,6 +466,253 @@ let prop_warm_memo_equals_cold =
   QCheck.Test.make ~name:"warm predict_misses memo ≡ cold replay" ~count:150
     arb_steps warm_memo_equals_cold
 
+(* ------------------------------------------------------------------ *)
+(* Eviction against a scanning model. The model keeps bytes, refetch
+   cost and last-use tick per key and picks each victim by scanning
+   every entry: lowest cost per age first, an exact tie to the older
+   last use. Ticks advance as the cache's do, on every admitted store
+   and every find. After each step the cache must agree with the model
+   on its counters and on which keys are resident. *)
+
+type mkey = M_block of int * int | M_run of int * int * int
+(* (uid, block) | (uid, lo, hi) of a tuple-kind sorted run on key [0] *)
+
+type mentry = { e_bytes : int; e_cost : float; mutable e_last : int }
+
+type model = {
+  budget : int;
+  entries : (mkey, mentry) Hashtbl.t;
+  mutable tick : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable bytes : int;
+  mutable ever : mkey list;  (* every key ever admitted *)
+}
+
+let model_of cache =
+  {
+    budget = Cache.budget_bytes cache;
+    entries = Hashtbl.create 16;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    bytes = 0;
+    ever = [];
+  }
+
+let scan_victim m =
+  Hashtbl.fold
+    (fun k e best ->
+      let score = e.e_cost /. float_of_int (m.tick - e.e_last + 1) in
+      match best with
+      | Some (_, b, bs) when bs < score || (bs = score && b.e_last < e.e_last)
+        ->
+          best
+      | Some _ | None -> Some (k, e, score))
+    m.entries None
+
+let rec model_evict m =
+  if m.bytes > m.budget then
+    match scan_victim m with
+    | None -> ()
+    | Some (k, e, _) ->
+        Hashtbl.remove m.entries k;
+        m.bytes <- m.bytes - e.e_bytes;
+        m.evictions <- m.evictions + 1;
+        model_evict m
+
+let model_store m k ~bytes ~cost =
+  if bytes <= m.budget && not (Hashtbl.mem m.entries k) then begin
+    m.tick <- m.tick + 1;
+    Hashtbl.replace m.entries k
+      { e_bytes = bytes; e_cost = cost; e_last = m.tick };
+    if not (List.mem k m.ever) then m.ever <- k :: m.ever;
+    m.bytes <- m.bytes + bytes;
+    model_evict m
+  end
+
+let model_find m k =
+  m.tick <- m.tick + 1;
+  match Hashtbl.find_opt m.entries k with
+  | Some e ->
+      e.e_last <- m.tick;
+      m.hits <- m.hits + 1
+  | None -> m.misses <- m.misses + 1
+
+let model_invalidate m uid =
+  Hashtbl.filter_map_inplace
+    (fun k e ->
+      match k with
+      | (M_block (u, _) | M_run (u, _, _)) when u = uid ->
+          m.bytes <- m.bytes - e.e_bytes;
+          None
+      | M_block _ | M_run _ -> Some e)
+    m.entries
+
+let block_bytes file b =
+  Array.length (Heap_file.block file b) * Heap_file.tuple_bytes file
+
+(* Every way the cache and the model disagree; [] when they agree. *)
+let mismatches ~files cache m =
+  let s = Cache.stats cache in
+  let count name c mc =
+    if c = mc then [] else [ Fmt.str "%s: cache %d, model %d" name c mc ]
+  in
+  let file uid = List.find (fun f -> Heap_file.uid f = uid) files in
+  let residency k =
+    let cached, name =
+      match k with
+      | M_block (u, b) ->
+          (Cache.mem_block cache ~file:(file u) b, Fmt.str "block %d/%d" u b)
+      | M_run (u, lo, hi) ->
+          ( Cache.mem_sorted_run cache ~file:(file u) ~kind:Cache.Tuples ~lo
+              ~hi ~key:[| 0 |],
+            Fmt.str "run %d/[%d,%d)" u lo hi )
+    in
+    let modeled = Hashtbl.mem m.entries k in
+    if cached = modeled then []
+    else [ Fmt.str "%s: cache resident %b, model %b" name cached modeled ]
+  in
+  count "hits" s.Cache.hits m.hits
+  @ count "misses" s.Cache.misses m.misses
+  @ count "evictions" s.Cache.evictions m.evictions
+  @ count "bytes" s.Cache.bytes m.bytes
+  @ List.concat_map residency (List.rev m.ever)
+
+(* What [apply] does to the cache, done to the model. *)
+let mirror file s m op =
+  let uid = Heap_file.uid file in
+  match op with
+  | Draw _ -> ()
+  | Store (i, cost) ->
+      let b = drawn_block file s i in
+      model_store m (M_block (uid, b)) ~bytes:(block_bytes file b) ~cost
+  | Find i -> model_find m (M_block (uid, drawn_block file s i))
+  | Store_run (lo, hi) ->
+      model_store m
+        (M_run (uid, lo, hi))
+        ~bytes:((hi - lo) * Heap_file.tuple_bytes file)
+        ~cost:0.02
+  | Invalidate -> model_invalidate m uid
+
+(* Costs snapped to 0.01 * 2^j, which share a class with the runs' 0.02
+   and tie exactly across classes (0.04 at age 4 = 0.02 at age 2). *)
+let snap_cost c = if c < 0.015 then 0.01 else if c < 0.03 then 0.02 else 0.04
+
+let eviction_matches_scan ~snap steps =
+  let file = first_relation (Lazy.force selection) in
+  let s = memo_subject () in
+  let m = model_of s.cache in
+  List.for_all
+    (fun (op, _) ->
+      let op =
+        match op with
+        | Store (i, c) when snap -> Store (i, snap_cost c)
+        | op -> op
+      in
+      mirror file s m op;
+      apply file s op;
+      mismatches ~files:[ file ] s.cache m = [])
+    steps
+
+let prop_eviction_matches_scan =
+  QCheck.Test.make ~name:"eviction picks what the scan picks" ~count:200
+    arb_steps (fun steps ->
+      eviction_matches_scan ~snap:false steps
+      && eviction_matches_scan ~snap:true steps)
+
+(* A budget of [blocks] full blocks of [file], plus half a block. *)
+let budget_of_blocks file blocks =
+  float_of_int ((2 * blocks + 1) * block_bytes file 0) /. 2.0 /. 1048576.0
+
+let step_both ~files cache m ctx (file, b, cost) =
+  Cache.store_block cache ~file b ~cost (Heap_file.block file b);
+  model_store m (M_block (Heap_file.uid file, b)) ~bytes:(block_bytes file b)
+    ~cost;
+  Alcotest.(check (list string)) ctx [] (mismatches ~files cache m)
+
+let test_cross_class_tie_goes_to_older () =
+  (* Cost 2.0 at age 2 against cost 1.0 at age 1: both score 1.0, and
+     the entry used longer ago goes, whichever block or cost it has. *)
+  let file = first_relation (Lazy.force selection) in
+  List.iter
+    (fun (older, newer) ->
+      let cache =
+        Cache.create ~budget_mb:(budget_of_blocks file 1) ~seed:0 ()
+      in
+      let m = model_of cache in
+      step_both ~files:[ file ] cache m "first store" (file, older, 2.0);
+      step_both ~files:[ file ] cache m "tying store" (file, newer, 1.0);
+      checki "one eviction" 1 (Cache.stats cache).Cache.evictions;
+      checkb "older entry evicted" false (Cache.mem_block cache ~file older);
+      checkb "newer entry kept" true (Cache.mem_block cache ~file newer))
+    [ (0, 1); (1, 0); (5, 2); (2, 5) ];
+  (* a class's age order is its score order only for costs >= 0 *)
+  let cache = Cache.create () in
+  List.iter
+    (fun cost ->
+      Alcotest.check_raises "negative or NaN cost rejected"
+        (Invalid_argument "Cache: refetch cost < 0 or NaN") (fun () ->
+          Cache.store_block cache ~file 0 ~cost (Heap_file.block file 0)))
+    [ -1.0; Float.nan ]
+
+let test_evicted_by_own_insert () =
+  let file = first_relation (Lazy.force selection) in
+  let cache = Cache.create ~budget_mb:(budget_of_blocks file 1) ~seed:0 () in
+  let m = model_of cache in
+  step_both ~files:[ file ] cache m "expensive store" (file, 0, 1.0);
+  (* 0.1 at age 1 scores below 1.0 at age 2: the newcomer goes *)
+  step_both ~files:[ file ] cache m "cheap store" (file, 1, 0.1);
+  checki "one eviction" 1 (Cache.stats cache).Cache.evictions;
+  checkb "newcomer evicted" false (Cache.mem_block cache ~file 1);
+  checkb "old entry kept" true (Cache.mem_block cache ~file 0);
+  checki "bytes of the survivor" (block_bytes file 0)
+    (Cache.stats cache).Cache.bytes;
+  checkb "the newcomer misses" true (Cache.find_block cache ~file 1 = None)
+
+let test_invalidation_empties_a_class () =
+  (* r1's blocks are the only entries at cost 0.05. Invalidating r1
+     mid-history removes that class; later evictions, and a store that
+     brings the class back, must still pick what the scan picks. *)
+  let wl = Lazy.force join in
+  let files =
+    List.map (Catalog.find wl.Paper_setup.catalog)
+      (Catalog.names wl.Paper_setup.catalog)
+  in
+  let r1, r2 =
+    match files with r1 :: r2 :: _ -> (r1, r2) | _ -> assert false
+  in
+  let cache = Cache.create ~budget_mb:(budget_of_blocks r1 3) ~seed:0 () in
+  let m = model_of cache in
+  let step = step_both ~files cache m in
+  step "r1 block 0" (r1, 0, 0.05);
+  step "r2 block 0" (r2, 0, 0.01);
+  step "r1 block 1" (r1, 1, 0.05);
+  ignore (Cache.find_block cache ~file:r2 0);
+  model_find m (M_block (Heap_file.uid r2, 0));
+  Cache.invalidate_relation cache r1;
+  model_invalidate m (Heap_file.uid r1);
+  Alcotest.(check (list string))
+    "after invalidation" [] (mismatches ~files cache m);
+  checki "only r2's block left" (block_bytes r2 0)
+    (Cache.stats cache).Cache.bytes;
+  let before = (Cache.stats cache).Cache.evictions in
+  List.iteri
+    (fun i entry -> step (Fmt.str "after, store %d" i) entry)
+    [
+      (r2, 1, 0.01);
+      (r2, 2, 0.01);
+      (r2, 3, 0.01);
+      (r1, 4, 0.05);
+      (r2, 4, 0.01);
+      (r1, 5, 0.05);
+      (r2, 5, 0.02);
+    ];
+  checkb "evictions after the class emptied" true
+    ((Cache.stats cache).Cache.evictions > before)
+
 let () =
   Alcotest.run "cache"
     [
@@ -492,6 +739,13 @@ let () =
         [
           Alcotest.test_case "tiny budget still exact" `Quick
             test_tiny_budget_still_exact_on_exhaustion;
+          QCheck_alcotest.to_alcotest prop_eviction_matches_scan;
+          Alcotest.test_case "cross-class tie goes to the older" `Quick
+            test_cross_class_tie_goes_to_older;
+          Alcotest.test_case "evicted by its own insert" `Quick
+            test_evicted_by_own_insert;
+          Alcotest.test_case "invalidation empties a class" `Quick
+            test_invalidation_empties_a_class;
         ] );
       ( "accounting",
         [

@@ -7,11 +7,8 @@
    sequential engine — for the three standard fixtures × both physical
    paths × 4 seeds, with the parallel threshold forced to 1 so every
    region actually fans out. CI sweeps extra cells via TAQP_DOMAINS and
-   TAQP_PHYSICAL. The qcheck suites pin the statistical side (the
-   stratified shard merge stays unbiased with nominal CI coverage under
-   shard-count and skew sweeps; Prng stream splits are deterministic and
-   non-overlapping), and the vclock suite pins the deterministic
-   max-merge semantics at stage barriers. *)
+   TAQP_PHYSICAL. The qcheck suites pin that Prng stream splits are
+   deterministic and non-overlapping. *)
 
 module Taqp = Taqp_core.Taqp
 module Config = Taqp_core.Config
@@ -32,8 +29,6 @@ module Event = Taqp_obs.Event
 module Ledger = Taqp_audit.Ledger
 module Pool = Taqp_parallel.Pool
 module Shard = Taqp_parallel.Shard
-module Vclock = Taqp_parallel.Vclock
-module Merge = Taqp_parallel.Merge
 
 let checkb = Fixtures.checkb
 let checki = Fixtures.checki
@@ -199,30 +194,7 @@ let test_shard_ranges () =
   checki "balanced max" 3 (Array.fold_left Int.max 0 sizes);
   checki "balanced min" 2 (Array.fold_left Int.min 10 sizes);
   checki "k > n clamps" 3 (Array.length (Shard.ranges ~n:3 ~k:8));
-  checki "n = 0 empty" 0 (Array.length (Shard.ranges ~n:0 ~k:4));
-  (* owner/partition agree with the layout *)
-  let rs = Shard.ranges ~n:100 ~k:7 in
-  for u = 0 to 99 do
-    let j = Shard.owner ~ranges:rs u in
-    checkb "owner in range" true (u >= rs.(j).Shard.lo && u < rs.(j).Shard.hi)
-  done;
-  let parts = Shard.partition ~ranges:rs [ 99; 0; 50; 1 ] in
-  checki "partition preserves order" 0 (List.nth parts.(0) 0);
-  checki "partition preserves order'" 1 (List.nth parts.(0) 1)
-
-let test_shard_weighted () =
-  (* Heavy tail: the greedy sweep closes early ranges fast, never emits
-     an empty range, and always covers [0, n). *)
-  let weights = Array.init 20 (fun i -> if i < 2 then 100.0 else 1.0) in
-  let rs = Shard.weighted ~weights ~k:4 in
-  checkb "at most k" true (Array.length rs <= 4);
-  checki "covers 0" 0 rs.(0).Shard.lo;
-  checki "covers n" 20 rs.(Array.length rs - 1).Shard.hi;
-  Array.iter (fun r -> checkb "non-empty" true (Shard.size r > 0)) rs;
-  Array.iteri
-    (fun i r ->
-      if i > 0 then checki "contiguous" rs.(i - 1).Shard.hi r.Shard.lo)
-    rs
+  checki "n = 0 empty" 0 (Array.length (Shard.ranges ~n:0 ~k:4))
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -268,173 +240,22 @@ let test_pool_global_cache () =
   checki "resized size" 3 (Pool.size p3)
 
 (* ------------------------------------------------------------------ *)
-(* Vclock: deterministic max-merge at stage barriers *)
+(* Pool lifecycle: the documented create/shutdown contract *)
 
-let test_vclock_merge_max () =
-  let g = Vclock.fork ~now:10.0 ~shards:3 () in
-  Vclock.charge (Vclock.worker g 0) 1.0;
-  Vclock.charge (Vclock.worker g 1) 5.0;
-  Vclock.charge (Vclock.worker g 2) 2.5;
-  checkf "merge is max" 15.0 (Vclock.merge g);
-  (* interleaving-independent: the same per-worker totals charged in a
-     different order (and different chunkings) merge identically *)
-  let h = Vclock.fork ~now:10.0 ~shards:3 () in
-  Vclock.charge (Vclock.worker h 2) 2.5;
-  Vclock.charge (Vclock.worker h 1) 2.0;
-  Vclock.charge (Vclock.worker h 0) 0.5;
-  Vclock.charge (Vclock.worker h 1) 3.0;
-  Vclock.charge (Vclock.worker h 0) 0.5;
-  checkf "merge order-independent" (Vclock.merge g) (Vclock.merge h);
-  (* no work: merge = fork origin *)
-  let idle = Vclock.fork ~now:7.0 ~shards:2 () in
-  checkf "idle merge" 7.0 (Vclock.merge idle)
+let test_pool_shutdown () =
+  let pool = Pool.create ~domains:2 in
+  checki "ran before shutdown" 3
+    (Array.fold_left ( + ) 0 (Pool.run pool (Array.init 3 (fun _ () -> 1))));
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  match Pool.run pool [| (fun () -> 0) |] with
+  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
+  | exception Invalid_argument _ -> ()
 
-let test_vclock_deadline_abort () =
-  let g = Vclock.fork ~now:0.0 ~deadline:(10.0, `Abort) ~shards:2 () in
-  Vclock.charge (Vclock.worker g 0) 9.0;
-  (* the worker that crosses stops exactly at the deadline *)
-  (try
-     Vclock.charge (Vclock.worker g 0) 5.0;
-     Alcotest.fail "expected Deadline_exceeded"
-   with Vclock.Deadline_exceeded { shard; at } ->
-     checki "crossing shard" 0 shard;
-     checkf "stops exactly at deadline" 10.0 at);
-  checkf "clock pinned at deadline" 10.0 (Vclock.now (Vclock.worker g 0));
-  (* the other worker continues; merge still reflects the max *)
-  Vclock.charge (Vclock.worker g 1) 3.0;
-  checkf "merge after abort" 10.0 (Vclock.merge g);
-  (* armed deadline preserved verbatim across the merge *)
-  (match Vclock.armed g with
-  | Some (at, `Abort) -> checkf "deadline preserved" 10.0 at
-  | _ -> Alcotest.fail "deadline lost");
-  match Vclock.first_crossing g with
-  | Some (shard, at) ->
-      checki "first crossing is lowest shard" 0 shard;
-      checkf "crossing instant" 10.0 at
-  | None -> Alcotest.fail "crossing lost"
-
-let test_vclock_first_crossing_tiebreak () =
-  (* Two workers cross in different wall orders across runs; the
-     reported first crossing is the lowest shard index — the
-     documented deterministic tie-break. *)
-  let run order =
-    let g = Vclock.fork ~now:0.0 ~deadline:(1.0, `Observe) ~shards:3 () in
-    List.iter (fun i -> Vclock.charge (Vclock.worker g i) 2.0) order;
-    (Vclock.first_crossing g, Vclock.crossings g)
-  in
-  let f1, c1 = run [ 2; 1 ] in
-  let f2, c2 = run [ 1; 2 ] in
-  (match (f1, f2) with
-  | Some (s1, _), Some (s2, _) ->
-      checki "tie-break lowest shard" 1 s1;
-      checki "tie-break order-independent" s1 s2
-  | _ -> Alcotest.fail "missing crossing");
-  checki "crossings sorted by shard" 1 (fst (List.nth c1 0));
-  checki "crossings sorted by shard'" 2 (fst (List.nth c1 1));
-  checki "same crossing set" (List.length c1) (List.length c2)
-
-let test_vclock_observe_mode () =
-  let g = Vclock.fork ~now:0.0 ~deadline:(5.0, `Observe) ~shards:1 () in
-  let w = Vclock.worker g 0 in
-  Vclock.charge w 7.0;
-  (* observe: crossing recorded, clock keeps advancing *)
-  checkf "observe keeps advancing" 7.0 (Vclock.now w);
-  Vclock.charge w 1.0;
-  checkf "still advancing" 8.0 (Vclock.now w);
-  checki "one crossing" 1 (List.length (Vclock.crossings g));
-  (* trace-instant ordering stability: merged instants of successive
-     barriers are monotone *)
-  let m1 = Vclock.merge g in
-  Vclock.charge w 0.5;
-  let m2 = Vclock.merge g in
-  checkb "barrier instants monotone" true (m2 >= m1)
-
-(* ------------------------------------------------------------------ *)
-(* Stratified shard-merge estimator: qcheck properties *)
-
-(* A synthetic block population with a known total; per-block counts
-   drawn i.i.d. uniform so the stratified math is exercised without a
-   full engine run. *)
-let population rng ~blocks =
-  Array.init blocks (fun _ -> float_of_int (Prng.int rng 20))
-
-let shard_sample rng ~counts ~(range : Shard.range) ~fraction =
-  let nj = Shard.size range in
-  let draw = Int.max 2 (int_of_float (fraction *. float_of_int nj)) in
-  let draw = Int.min draw nj in
-  let units = Sample.without_replacement rng ~k:draw ~n:nj in
-  let obs =
-    Array.of_list (List.map (fun u -> counts.(range.Shard.lo + u)) units)
-  in
-  Merge.of_counts ~population:nj obs
-
-let combined_of rng ~counts ~ranges ~fraction =
-  Merge.combine
-    (Array.to_list
-       (Array.map (fun r -> shard_sample rng ~counts ~range:r ~fraction) ranges))
-
-let prop_merge_unbiased =
-  QCheck.Test.make ~name:"stratified shard merge is unbiased" ~count:30
-    QCheck.(
-      triple (int_range 1 8) (int_range 0 1000000) (bool))
-    (fun (shards, seed, skewed) ->
-      let rng = Prng.create (seed + 17) in
-      let counts = population rng ~blocks:240 in
-      let truth = Array.fold_left ( +. ) 0.0 counts in
-      let ranges =
-        if skewed then
-          (* skewed shard sizes: geometric weights *)
-          Shard.weighted
-            ~weights:(Array.init 240 (fun i -> 1.0 +. (float_of_int i /. 40.0)))
-            ~k:shards
-        else Shard.ranges ~n:240 ~k:shards
-      in
-      (* average many replicated estimates: the mean must approach the
-         truth (CLT: tolerance ~4 sigma of the mean) *)
-      let reps = 300 in
-      let sum = ref 0.0 and var_sum = ref 0.0 in
-      for _ = 1 to reps do
-        let c = combined_of rng ~counts ~ranges ~fraction:0.2 in
-        sum := !sum +. c.Merge.total_hat;
-        var_sum := !var_sum +. c.Merge.var_hat
-      done;
-      let mean = !sum /. float_of_int reps in
-      let sigma_mean =
-        sqrt (Float.max 1e-9 (!var_sum /. float_of_int reps))
-        /. sqrt (float_of_int reps)
-      in
-      Float.abs (mean -. truth) <= Float.max (4.0 *. sigma_mean) (0.02 *. truth))
-
-let prop_merge_ci_coverage =
-  QCheck.Test.make ~name:"stratified merge CI has ~nominal coverage" ~count:12
-    QCheck.(pair (int_range 2 6) (int_range 0 1000000))
-    (fun (shards, seed) ->
-      let rng = Prng.create (seed + 23) in
-      let counts = population rng ~blocks:300 in
-      let truth = Array.fold_left ( +. ) 0.0 counts in
-      let ranges = Shard.ranges ~n:300 ~k:shards in
-      let reps = 200 in
-      let hits = ref 0 in
-      for _ = 1 to reps do
-        let c = combined_of rng ~counts ~ranges ~fraction:0.25 in
-        let ci = Merge.interval c ~level:0.95 in
-        if Taqp_stats.Confidence.contains ci truth then incr hits
-      done;
-      (* 95% nominal; allow sampling noise and mild small-sample
-         anti-conservatism: require at least 85% *)
-      float_of_int !hits /. float_of_int reps >= 0.85)
-
-let prop_merge_matches_unstratified =
-  QCheck.Test.make
-    ~name:"one shard at full draw reproduces the exact total" ~count:50
-    QCheck.(int_range 0 1000000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let counts = population rng ~blocks:64 in
-      let truth = Array.fold_left ( +. ) 0.0 counts in
-      let m = Merge.of_counts ~population:64 counts in
-      let c = Merge.combine [ m ] in
-      c.Merge.total_hat = truth && c.Merge.var_hat = 0.0)
+let test_pool_create_rejects () =
+  match Pool.create ~domains:0 with
+  | _ -> Alcotest.fail "expected Invalid_argument for domains = 0"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Prng stream splitting: deterministic and non-overlapping *)
@@ -522,8 +343,6 @@ let () =
       ( "shard",
         [
           Alcotest.test_case "ranges partition [0,n)" `Quick test_shard_ranges;
-          Alcotest.test_case "weighted ranges absorb skew" `Quick
-            test_shard_weighted;
         ] );
       ( "pool",
         [
@@ -534,22 +353,16 @@ let () =
           Alcotest.test_case "global pool cached by size" `Quick
             test_pool_global_cache;
         ] );
-      ( "vclock",
+      (* Alcotest pads the suite column to the longest suite name and
+         cuts long case names to fit 80 columns, so this 9-character
+         label also keeps the printed name of the long prng case below
+         as it was while the (deleted) "estimator" group set the width. *)
+      ( "lifecycle",
         [
-          Alcotest.test_case "barrier merge is deterministic max" `Quick
-            test_vclock_merge_max;
-          Alcotest.test_case "abort stops exactly at the deadline" `Quick
-            test_vclock_deadline_abort;
-          Alcotest.test_case "first-crossing tie-break is by shard" `Quick
-            test_vclock_first_crossing_tiebreak;
-          Alcotest.test_case "observe mode records and continues" `Quick
-            test_vclock_observe_mode;
-        ] );
-      ( "estimator",
-        [
-          qc prop_merge_unbiased;
-          qc prop_merge_ci_coverage;
-          qc prop_merge_matches_unstratified;
+          Alcotest.test_case "shutdown is idempotent, run then raises"
+            `Quick test_pool_shutdown;
+          Alcotest.test_case "create rejects domains < 1" `Quick
+            test_pool_create_rejects;
         ] );
       ( "prng",
         [
