@@ -14,7 +14,10 @@
    - Identity runs drive the full engine (Executor.run: jittered
      device, tracer, budget ledger) at domains ∈ {1, 2, 4} and assert
      the complete observable surface — report fingerprint, trace event
-     stream, ledger reconciliation — equals the 1-domain run's.
+     stream, ledger reconciliation — equals the 1-domain run's. The
+     "+cache" rows attach a small shared cache and run the query twice
+     on it, so cache probes, hits and evictions interleave with the
+     parallel regions.
 
    The headline ≥ 2.5x speedup at 4 domains is asserted only when the
    host actually has ≥ 4 cores (Domain.recommended_domain_count); the
@@ -63,17 +66,23 @@ let timing_workloads () =
 let identity_spec = { Generator.n_tuples = 2_000; tuple_bytes = 100; block_bytes = 1024 }
 
 let identity_workloads () =
+  let join = Paper_setup.join ~spec:identity_spec ~seed:7 () in
+  let three_way_join =
+    Paper_setup.three_way_join
+      ~spec:{ identity_spec with Generator.n_tuples = 600 }
+      ~group_size:3 ~seed:7 ()
+  in
   [
-    ("join", Paper_setup.join ~spec:identity_spec ~seed:7 (), 2.0);
-    ( "three_way_join",
-      Paper_setup.three_way_join
-        ~spec:{ identity_spec with Generator.n_tuples = 600 }
-        ~group_size:3 ~seed:7 (),
-      2.5 );
+    ("join", join, 2.0, None);
+    ("three_way_join", three_way_join, 2.5, None);
     ( "sharded_skew",
       Paper_setup.sharded_selection ~spec:identity_spec ~shards:4 ~skew:3.0
         ~seed:7 (),
-      1.5 );
+      1.5,
+      None );
+    (* Quotas long enough for hits and evictions in a 0.2 MB cache. *)
+    ("join+cache", join, 20.0, Some 0.2);
+    ("three_way_join+cache", three_way_join, 30.0, Some 0.2);
   ]
 
 type timed = {
@@ -122,8 +131,10 @@ let staged_best ~domains ~physical ~stages ~f wl =
   done;
   !best
 
-(* The full-engine observable surface, as one comparable string. *)
-let engine_fingerprint ~domains ~quota (wl : Paper_setup.t) =
+(* The full-engine observable surface, as one comparable string. With
+   [cache_mb], a fresh shared cache of that budget serves two runs of
+   the query in turn, and its final stats join the surface. *)
+let engine_fingerprint ?cache_mb ~domains ~quota (wl : Paper_setup.t) =
   let config =
     {
       Config.default with
@@ -141,18 +152,34 @@ let engine_fingerprint ~domains ~quota (wl : Paper_setup.t) =
   in
   let ledger = Ledger.create () in
   Device.set_spend_listener device (Some (Ledger.on_spend ledger));
-  let r =
-    Executor.run ~config ~aggregate:Aggregate.Count ~device
-      ~catalog:wl.Paper_setup.catalog ~rng ~quota wl.Paper_setup.query
+  let cache =
+    Option.map
+      (fun budget_mb -> Taqp_cache.Cache.create ~budget_mb ~seed:13 ())
+      cache_mb
   in
+  let run () =
+    let r =
+      Executor.run ~config ~aggregate:Aggregate.Count ?cache ~device
+        ~catalog:wl.Paper_setup.catalog ~rng ~quota wl.Paper_setup.query
+    in
+    Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a" r.Report.estimate
+      r.Report.variance r.Report.confidence.Taqp_stats.Confidence.half_width
+      r.Report.elapsed r.Report.stages_completed r.Report.degraded Io_stats.pp
+      r.Report.io
+  in
+  let reports = List.init (if cache = None then 1 else 2) (fun _ -> run ()) in
   Tracer.close tracer;
   let rc = Ledger.reconcile ~quota ledger in
-  Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a|events=%d|charged=%.17g|%b"
-    r.Report.estimate r.Report.variance
-    r.Report.confidence.Taqp_stats.Confidence.half_width r.Report.elapsed
-    r.Report.stages_completed r.Report.degraded Io_stats.pp r.Report.io
+  let stats =
+    match cache with
+    | None -> ""
+    | Some c ->
+        let s = Taqp_cache.Cache.stats c in
+        Fmt.str "|cache=%d/%d/%d/%d" s.hits s.misses s.evictions s.bytes
+  in
+  Fmt.str "%s|events=%d|charged=%.17g|%b%s" (String.concat "|" reports)
     (List.length (events ()))
-    rc.Ledger.r_charged rc.Ledger.r_exact
+    rc.Ledger.r_charged rc.Ledger.r_exact stats
 
 let write ?(path = "BENCH_parallel.json") ?(stages = 8) ?(f = 0.1) () =
   Fmt.pr "@.=== Sharded parallel execution (1 vs N domains) ===@.";
@@ -199,17 +226,17 @@ let write ?(path = "BENCH_parallel.json") ?(stages = 8) ?(f = 0.1) () =
   (* --- full-engine identity sweep --- *)
   let identity =
     List.map
-      (fun (name, wl, quota) ->
-        let base = engine_fingerprint ~domains:1 ~quota wl in
+      (fun (name, wl, quota, cache_mb) ->
+        let base = engine_fingerprint ?cache_mb ~domains:1 ~quota wl in
         let cells =
           List.map
             (fun d ->
-              let fp = engine_fingerprint ~domains:d ~quota wl in
+              let fp = engine_fingerprint ?cache_mb ~domains:d ~quota wl in
               note (fp = base) (Fmt.str "%s engine domains=%d" name d);
               (d, fp = base))
             domains_swept
         in
-        Fmt.pr "  %-16s engine fingerprint identical at domains {1,2,4}: %b@."
+        Fmt.pr "  %-20s engine fingerprint identical at domains {1,2,4}: %b@."
           name
           (List.for_all snd cells);
         (name, cells))

@@ -1,0 +1,49 @@
+(** Sort-merge join and intersect (Figures 4.4-4.6): each stage
+    temp-writes and sorts both deltas into retained sorted files, then
+    merges every Figure 4.5 pairing of files. The files may lag the
+    shared deltas after hash stages; the next sort-merge stage sorts the
+    missing ones first (the catch-up), and its price includes them.
+    Private to [taqp_core]. *)
+
+type t = private {
+  b : Op_common.binary;  (** shared with the operator's {!Op_hash.t} *)
+  sort_l : Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
+      (** precompiled sort order *)
+  sort_r : Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
+  bf_l : int;  (** the sides' temp-file blocking factors *)
+  bf_r : int;
+  mutable files_l : Taqp_relational.Sorted_run.t list;
+      (** oldest first; the sorted prefix of [b.deltas_l] *)
+  mutable files_r : Taqp_relational.Sorted_run.t list;
+}
+
+val create :
+  Op_common.binary -> arity_l:int -> arity_r:int -> bf_l:int -> bf_r:int -> t
+
+val kind : t -> Taqp_timecost.Formulas.op_kind
+(** [Join] or [Intersect]: the operator's own cost-model node. *)
+
+val measures :
+  t -> nl:float -> nr:float -> out_new:float ->
+  Taqp_timecost.Formulas.measures
+(** This path's cost measures for a stage adding [nl]/[nr] delta
+    tuples and [out_new] output tuples, against the retained state
+    before the stage: catch-up plus delta writes and sorts, and the
+    pairings' merge reads. Called by the planner, the adaptive path
+    choice and {!eval}. *)
+
+val eval :
+  Op_common.ctx -> id:int -> t -> slice_l:Op_common.slice option ->
+  slice_r:Op_common.slice option -> Taqp_data.Tuple.t array ->
+  Taqp_data.Tuple.t array -> Taqp_data.Tuple.t array
+(** One stage on the deltas [delta_l], [delta_r], with [slice_*] the
+    shared-cache key of a leaf-fed delta. Issues a single charge
+    sequence (writes, sorts in the order catch-up left, catch-up right,
+    delta right, delta left, then per pairing merge setup, merge reads
+    and residual checks, then output), observes the four steps into
+    cost-model node [id], and appends the new files. Does not append
+    the deltas: that is the caller's, after either path. *)
+
+val restore : t -> files_l:int -> files_r:int -> unit
+(** Rebuild the files from the first [files_*] restored deltas, with
+    the same deterministic sorts, charging nothing. *)

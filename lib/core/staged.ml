@@ -9,7 +9,6 @@ module Cost_params = Taqp_storage.Cost_params
 module Ra = Taqp_relational.Ra
 module Predicate = Taqp_relational.Predicate
 module Ops = Taqp_relational.Ops
-module Sorted_run = Taqp_relational.Sorted_run
 module Plan = Taqp_sampling.Plan
 module Stage_set = Taqp_sampling.Stage_set
 module Fulfillment = Taqp_sampling.Fulfillment
@@ -67,44 +66,21 @@ type node = {
 
 and kind =
   | Leaf of scan
-  | Select_node of {
-      comparisons : int;
-      test : Tuple.t -> bool;
-      child : node;
-    }
-  | Project_node of {
-      positions : int list;
-      names : string list;
-      child : node;
-      groups : (Tuple.t, int ref) Hashtbl.t;
-    }
+  | Select_node of { select : Op_select.t; child : node }
+  | Project_node of { project : Op_project.t; child : node }
   | Binary_node of binary
 
-(* Both physical paths' retained state lives side by side: the raw
-   per-stage deltas are always kept (they are in memory regardless),
-   the sorted files and the hash indexes only as far as their path has
-   run — [files_*] may lag [deltas_*] under the hash path and
-   [hashed_*] may lag under the sort path, and whichever path runs
-   next catches its state up first (the priced switching cost). *)
+(* Both physical paths' retained state lives side by side over the
+   shared raw deltas ([shared.deltas_*], always kept): the sort path's
+   files and the hash path's indexes only as far as their path has run,
+   and whichever path runs next catches its state up first (the priced
+   switching cost). *)
 and binary = {
-  op : [ `Join | `Intersect ];
-  key_l : int array;
-  key_r : int array;
-  sort_l : Tuple.t array -> Sorted_run.t;  (** precompiled sort order *)
-  sort_r : Tuple.t array -> Sorted_run.t;
-  residual : Tuple.t -> bool;
-  residual_comparisons : int;
+  shared : Op_common.binary;
   left : node;
   right : node;
-  hash_id : int;  (** cost-model node of the hash path *)
-  mutable files_l : Sorted_run.t list;  (** oldest first *)
-  mutable files_r : Sorted_run.t list;
-  mutable deltas_l : Tuple.t array list;  (** oldest first, raw *)
-  mutable deltas_r : Tuple.t array list;
-  hash_l : Ops.Hash_index.t;  (** retained index over [deltas_l] *)
-  hash_r : Ops.Hash_index.t;
-  mutable hashed_l : int;  (** how many deltas are in [hash_l] *)
-  mutable hashed_r : int;
+  sort : Op_sort_merge.t;
+  hash : Op_hash.t;
 }
 
 type term = {
@@ -125,62 +101,22 @@ type t = {
   terms : term list;
   scans : scan list;  (** one per distinct base relation *)
   overhead_id : int;
-  block_bytes : int;
   cache : Cache.t option;  (** shared cross-query cache, when attached *)
   pool : Taqp_parallel.Pool.t option;
-      (** worker domains for per-stage compute; [None] = domains 1,
-          the historical sequential code path verbatim *)
+      (** worker domains for per-stage compute; [None] = domains 1 *)
   mutable stage : int;  (** completed stages *)
   mutable last_estimate : Count_estimator.t option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel regions (docs/PARALLELISM.md)
-
-   Heavy pure compute — predicate filters, delta sorts, pairing merges,
-   index probes — fans out over the pool, while every Device charge is
-   issued by this domain in exactly the order the sequential code
-   issues it (same calls, same arguments). Virtual time, jitter draws,
-   deadline crossings, traces and ledgers are therefore bit-identical
-   at any domain count; only wall time changes. Workers never touch a
-   Clock, Device, Prng, Cache or tracer. *)
-
-(* Below this many tuples a region stays sequential: fan-out overhead
-   would dominate. A wall-time knob only — both paths produce the same
-   bytes, so the exact value is not semantics-bearing. Settable so the
-   bit-identity tests can force the parallel regions on on test-sized
-   fixtures. *)
-let par_threshold = ref 2048
-let set_parallel_threshold n = par_threshold := Int.max 0 n
-
-let par_chunks pool n =
-  Taqp_parallel.Shard.ranges ~n ~k:(4 * Taqp_parallel.Pool.size pool)
-
-(* Chunked filter: each range filters in index order, chunks concat in
-   range order — extensionally equal to [Seq.filter] over the array. *)
-let par_filter pool test arr =
-  let ranges = par_chunks pool (Array.length arr) in
-  let chunks =
-    Taqp_parallel.Pool.run pool
-      (Array.map
-         (fun (r : Taqp_parallel.Shard.range) () ->
-           let out = ref [] in
-           for i = r.hi - 1 downto r.lo do
-             if test arr.(i) then out := arr.(i) :: !out
-           done;
-           Array.of_list !out)
-         ranges)
-  in
-  Array.concat (Array.to_list chunks)
+(* Per-stage compute goes through [Op_common]'s helper, on the pool
+   when the config grants worker domains (docs/PARALLELISM.md). *)
+let set_parallel_threshold n = Op_common.threshold := Int.max 0 n
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-let bf_of_bytes ~block_bytes bytes = Int.max 1 (block_bytes / Int.max 1 bytes)
-
-let xlog n = if n > 1.0 then n *. (log n /. log 2.0) else n
-
-let pages ~bf n = ceil (Float.max 0.0 n /. float_of_int bf)
+(* Every operator's page arithmetic assumes 1 KiB blocks. *)
+let bf_of_bytes = Op_common.bf_of_bytes ~block_bytes:1024
 
 (* Prestored selectivities (Figure 3.2): seed the record with an
    overwhelming pseudo-sample at the oracle's value, so the run-time
@@ -206,32 +142,32 @@ let initial_sel (config : Config.t) op =
       Option.value ov.intersect
         ~default:(Selectivity.initial_for (`Intersect (n1, n2)))
 
-let make_binary ~op ~key_l ~key_r ~residual ~residual_comparisons ~left ~right
-    ~hash_id =
-  {
-    op;
-    key_l;
-    key_r;
-    sort_l =
-      Sorted_run.sort ~key:key_l
-        ~cmp:(Ops.key_comparator ~arity:(Schema.arity left.schema) key_l);
-    sort_r =
-      Sorted_run.sort ~key:key_r
-        ~cmp:(Ops.key_comparator ~arity:(Schema.arity right.schema) key_r);
-    residual;
-    residual_comparisons;
-    left;
-    right;
-    hash_id;
-    files_l = [];
-    files_r = [];
-    deltas_l = [];
-    deltas_r = [];
-    hash_l = Ops.Hash_index.create ~key:key_l;
-    hash_r = Ops.Hash_index.create ~key:key_r;
-    hashed_l = 0;
-    hashed_r = 0;
-  }
+let make_binary ~full ~op ~key_l ~key_r ~residual ~residual_comparisons ~left
+    ~right ~hash_id ~out_bytes =
+  let shared =
+    {
+      Op_common.op;
+      key_l;
+      key_r;
+      residual;
+      residual_comparisons;
+      full;
+      bf = bf_of_bytes out_bytes;
+      deltas_l = [];
+      deltas_r = [];
+    }
+  in
+  Binary_node
+    {
+      shared;
+      left;
+      right;
+      sort =
+        Op_sort_merge.create shared ~arity_l:(Schema.arity left.schema)
+          ~arity_r:(Schema.arity right.schema) ~bf_l:(bf_of_bytes left.out_bytes)
+          ~bf_r:(bf_of_bytes right.out_bytes);
+      hash = Op_hash.create shared ~id:hash_id;
+    }
 
 let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
     ~cost_model expr =
@@ -248,7 +184,7 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
     incr next_id;
     id
   in
-  let block_bytes = 1024 in
+  let full = (config.plan : Plan.t).fulfillment = Plan.Full in
   let scans : (string, scan) Hashtbl.t = Hashtbl.create 8 in
   let scan_for name =
     match Hashtbl.find_opt scans name with
@@ -327,8 +263,12 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             kind =
               Select_node
                 {
-                  comparisons = Predicate.comparisons pred;
-                  test = Predicate.compile child.schema pred;
+                  select =
+                    {
+                      Op_select.comparisons = Predicate.comparisons pred;
+                      test = Predicate.compile child.schema pred;
+                      bf = bf_of_bytes child.out_bytes;
+                    };
                   child;
                 };
           }
@@ -356,7 +296,16 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             cum_out = 0.0;
             cum_points = 0.0;
             kind =
-              Project_node { positions; names; child; groups = Hashtbl.create 256 };
+              Project_node
+                {
+                  project =
+                    {
+                      Op_project.positions;
+                      bf = bf_of_bytes out_bytes;
+                      groups = Hashtbl.create 256;
+                    };
+                  child;
+                };
           }
           leaves
     | Ra.Join (pred, l, r) ->
@@ -370,21 +319,21 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
         let (key_l, key_r), residual_pred =
           Ops.split_equi_pairs ~schema_l:left.schema ~schema_r:right.schema pred
         in
+        let out_bytes = left.out_bytes + right.out_bytes in
         with_oracle e
           {
             id;
             schema;
-            out_bytes = left.out_bytes + right.out_bytes;
+            out_bytes;
             sel = Selectivity.create ~initial:(initial_sel config `Join);
             subtree_points = left.subtree_points *. right.subtree_points;
             cum_out = 0.0;
             cum_points = 0.0;
             kind =
-              Binary_node
-                (make_binary ~op:`Join ~key_l ~key_r
-                   ~residual:(Predicate.compile schema residual_pred)
-                   ~residual_comparisons:(Predicate.comparisons residual_pred)
-                   ~left ~right ~hash_id);
+              make_binary ~full ~op:`Join ~key_l ~key_r
+                ~residual:(Predicate.compile schema residual_pred)
+                ~residual_comparisons:(Predicate.comparisons residual_pred)
+                ~left ~right ~hash_id ~out_bytes;
           }
           (ll @ rl)
     | Ra.Intersect (l, r) ->
@@ -409,10 +358,10 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             cum_out = 0.0;
             cum_points = 0.0;
             kind =
-              Binary_node
-                (make_binary ~op:`Intersect ~key_l:key ~key_r:key
-                   ~residual:(fun _ -> true)
-                   ~residual_comparisons:0 ~left ~right ~hash_id);
+              make_binary ~full ~op:`Intersect ~key_l:key ~key_r:key
+                ~residual:(fun _ -> true)
+                ~residual_comparisons:0 ~left ~right ~hash_id
+                ~out_bytes:left.out_bytes;
           }
           (ll @ rl)
     | Ra.Union (_, _) | Ra.Difference (_, _) ->
@@ -472,7 +421,6 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
     terms;
     scans;
     overhead_id;
-    block_bytes;
     cache;
     pool;
     stage = 0;
@@ -574,19 +522,7 @@ let predicted_scan_misses t scan ~f =
         ~lo:(Stage_set.drawn scan.units) ~k
   | None -> k
 
-(* Per-stage new/cumulative sizes used by the Figure 4.5 pairing cost:
-   sizes of each side's retained deltas, oldest first, with the
-   predicted new file appended. Delta sizes — not [files_*] sizes —
-   because the sorted files may lag the deltas under the hash path. *)
-let file_sizes files = List.map Array.length files
-
-let sum_lengths files =
-  List.fold_left (fun acc a -> acc + Array.length a) 0 files
-
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-let choose_sel t node ~mode ~m_next =
+let choose_sel node ~mode ~m_next =
   let plain = Selectivity.estimate node.sel in
   let n_remaining = Float.max 0.0 (node.subtree_points -. node.cum_points) in
   let variance = Selectivity.variance_srs node.sel ~m_next ~n_remaining in
@@ -600,96 +536,13 @@ let choose_sel t node ~mode ~m_next =
     | Inflated { d_beta; zero_beta } ->
         Sel_plus.compute node.sel ~d_beta ~zero_beta ~m_next ~n_remaining
   in
-  ignore t;
   (used, plain, variance)
 
-(* ------------------------------------------------------------------ *)
-(* Physical-path costing, shared by planning, execution and the
-   adaptive selection so all three price exactly the same work. Every
-   builder is evaluated against the operator's retained state *before*
-   this stage's deltas are appended, with [nl]/[nr] the (predicted or
-   actual) delta sizes. *)
-
-let is_full t = (t.config.plan : Plan.t).fulfillment = Plan.Full
-
-(* Deltas retained but not yet sorted into files (resp. inserted into
-   the hash indexes): the catch-up work a switch onto that path must
-   perform first, and therefore part of its price. *)
-let unsorted_deltas b =
-  ( drop (List.length b.files_l) b.deltas_l,
-    drop (List.length b.files_r) b.deltas_r )
-
-let unhashed_deltas b = (drop b.hashed_l b.deltas_l, drop b.hashed_r b.deltas_r)
-
-let binary_pairings t b =
-  Fulfillment.pairings_at_stage
-    ~stages_l:(List.length b.deltas_l + 1)
-    ~stage:(List.length b.deltas_r + 1)
-    (if is_full t then `Full else `Partial)
-
-let sort_measures t ~node b ~nl ~nr ~out_new =
-  let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
-  let bf_l = bf_of_bytes ~block_bytes:t.block_bytes b.left.out_bytes in
-  let bf_r = bf_of_bytes ~block_bytes:t.block_bytes b.right.out_bytes in
-  let missing_l, missing_r = unsorted_deltas b in
-  let add_files side_bf files acc =
-    List.fold_left
-      (fun (ni, tp, nn) file ->
-        let n = float_of_int (Array.length file) in
-        (ni +. n, tp +. pages ~bf:side_bf n, nn +. xlog n))
-      acc files
-  in
-  let acc =
-    ( nl +. nr,
-      pages ~bf:bf_l nl +. pages ~bf:bf_r nr,
-      xlog nl +. xlog nr )
-  in
-  let n_input, temp_pages, nlogn =
-    add_files bf_r missing_r (add_files bf_l missing_l acc)
-  in
-  let sizes_l = file_sizes b.deltas_l @ [ int_of_float nl ] in
-  let sizes_r = file_sizes b.deltas_r @ [ int_of_float nr ] in
-  let pairings = binary_pairings t b in
-  let size_at sizes i =
-    match List.nth_opt sizes (i - 1) with
-    | Some s -> float_of_int s
-    | None -> 0.0
-  in
-  let merge_reads =
-    List.fold_left
-      (fun acc (i, j) -> acc +. size_at sizes_l i +. size_at sizes_r j)
-      0.0 pairings
-  in
-  {
-    Formulas.zero_measures with
-    Formulas.n_input;
-    temp_pages;
-    nlogn;
-    merge_reads;
-    out_tuples = out_new;
-    out_pages = pages ~bf out_new;
-    pairings = float_of_int (List.length pairings);
-  }
-
-let hash_measures t ~node b ~nl ~nr ~out_new =
-  let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
-  let build_tuples, probe_tuples =
-    if is_full t then begin
-      let miss_l, miss_r = unhashed_deltas b in
-      let catch_up = float_of_int (sum_lengths miss_l + sum_lengths miss_r) in
-      (catch_up +. nl +. nr, nl +. nr)
-    end
-    else (* transient per-stage index: build left delta, probe right *)
-      (nl, nr)
-  in
-  {
-    Formulas.zero_measures with
-    Formulas.build_tuples;
-    probe_tuples;
-    out_tuples = out_new;
-    out_pages = pages ~bf out_new;
-  }
-
+(* Each operator module's [measures] prices its physical path against
+   the retained state *before* this stage's deltas are appended, with
+   [nl]/[nr] the (predicted or actual) delta sizes; planning, the
+   adaptive choice and execution all call it, so all three price the
+   same work. *)
 let choose_path t ~node b ~nl ~nr ~out_guess =
   match t.config.physical with
   | Config.Sort_merge -> `Sort
@@ -697,144 +550,82 @@ let choose_path t ~node b ~nl ~nr ~out_guess =
   | Config.Adaptive ->
       let sort_cost =
         Cost_model.predict t.cost_model ~id:node.id
-          (sort_measures t ~node b ~nl ~nr ~out_new:out_guess)
+          (Op_sort_merge.measures b.sort ~nl ~nr ~out_new:out_guess)
       in
       let hash_cost =
-        Cost_model.predict t.cost_model ~id:b.hash_id
-          (hash_measures t ~node b ~nl ~nr ~out_new:out_guess)
+        Cost_model.predict t.cost_model ~id:b.hash.id
+          (Op_hash.measures b.hash ~nl ~nr ~out_new:out_guess)
       in
       if hash_cost < sort_cost then `Hash else `Sort
+
+(* Scans and the overhead node pass [(1.0, 1.0, 0.0)]: no selectivity. *)
+let plan_entry ~op_id ?(plan_id = op_id) plan_kind plan_measures
+    (sel_used, sel_plain, sel_variance) =
+  {
+    plan_id;
+    plan_op_id = op_id;
+    plan_kind;
+    plan_measures;
+    sel_used;
+    sel_plain;
+    sel_variance;
+  }
 
 (* Returns (plans for this subtree, predicted new output tuples,
    cumulative output tuples so far). *)
 let rec plan_node t ~f ~mode node : node_plan list * float * float =
-  let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
   match node.kind with
   | Leaf scan ->
       ([], float_of_int (predicted_new_tuples scan ~f), float_of_int scan.drawn_tuples)
-  | Select_node { comparisons; child; _ } ->
-      let plans, n_new, _ = plan_node t ~f ~mode child in
-      let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:n_new
-      in
-      let out_new = sel_used *. n_new in
-      let measures =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = n_new;
-          comparisons = float_of_int comparisons;
-          out_tuples = out_new;
-          out_pages = pages ~bf out_new;
-        }
-      in
-      ( plans
-        @ [
-            {
-              plan_id = node.id;
-              plan_op_id = node.id;
-              plan_kind = Formulas.Select;
-              plan_measures = measures;
-              sel_used;
-              sel_plain;
-              sel_variance;
-            };
-          ],
-        out_new,
-        node.cum_out )
-  | Project_node { child; _ } ->
-      let plans, n_new, _ = plan_node t ~f ~mode child in
-      let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:n_new
-      in
-      let out_new = sel_used *. n_new in
-      let measures =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = n_new;
-          temp_pages = pages ~bf n_new;
-          nlogn = xlog n_new;
-          out_tuples = out_new;
-          out_pages = pages ~bf out_new;
-        }
-      in
-      ( plans
-        @ [
-            {
-              plan_id = node.id;
-              plan_op_id = node.id;
-              plan_kind = Formulas.Project;
-              plan_measures = measures;
-              sel_used;
-              sel_plain;
-              sel_variance;
-            };
-          ],
-        out_new,
-        node.cum_out )
+  | Select_node { select; child } ->
+      plan_unary t ~f ~mode node child Formulas.Select (Op_select.measures select)
+  | Project_node { project; child } ->
+      plan_unary t ~f ~mode node child Formulas.Project
+        (Op_project.measures project)
   | Binary_node b ->
       let plans_l, nl, cum_l = plan_node t ~f ~mode b.left in
       let plans_r, nr, cum_r = plan_node t ~f ~mode b.right in
-      let full = is_full t in
       let points_new =
-        if full then (nl *. (cum_r +. nr)) +. (cum_l *. nr) else nl *. nr
+        if b.shared.full then (nl *. (cum_r +. nr)) +. (cum_l *. nr)
+        else nl *. nr
       in
-      let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:points_new
-      in
+      let ((sel_used, _, _) as sel) = choose_sel node ~mode ~m_next:points_new in
       let out_new = sel_used *. points_new in
       (* Price whichever physical path will run: the plan entry carries
          that path's cost-model id, kind and measures, so QCOST and the
          executor's gradients see the work the stage will actually do. *)
-      let plan_id, plan_kind, plan_measures =
-        match (choose_path t ~node b ~nl ~nr ~out_guess:out_new, b.op) with
-        | `Sort, `Join ->
-            (node.id, Formulas.Join, sort_measures t ~node b ~nl ~nr ~out_new)
-        | `Sort, `Intersect ->
-            ( node.id,
-              Formulas.Intersect,
-              sort_measures t ~node b ~nl ~nr ~out_new )
-        | `Hash, `Join ->
-            ( b.hash_id,
-              Formulas.Hash_join,
-              hash_measures t ~node b ~nl ~nr ~out_new )
-        | `Hash, `Intersect ->
-            ( b.hash_id,
-              Formulas.Hash_intersect,
-              hash_measures t ~node b ~nl ~nr ~out_new )
+      let entry =
+        match choose_path t ~node b ~nl ~nr ~out_guess:out_new with
+        | `Sort ->
+            plan_entry ~op_id:node.id (Op_sort_merge.kind b.sort)
+              (Op_sort_merge.measures b.sort ~nl ~nr ~out_new)
+              sel
+        | `Hash ->
+            plan_entry ~op_id:node.id ~plan_id:b.hash.id (Op_hash.kind b.hash)
+              (Op_hash.measures b.hash ~nl ~nr ~out_new)
+              sel
       in
-      ( plans_l @ plans_r
-        @ [
-            {
-              plan_id;
-              plan_op_id = node.id;
-              plan_kind;
-              plan_measures;
-              sel_used;
-              sel_plain;
-              sel_variance;
-            };
-          ],
-        out_new,
-        node.cum_out )
+      (plans_l @ plans_r @ [ entry ], out_new, node.cum_out)
+
+and plan_unary t ~f ~mode node child kind measures =
+  let plans, n_new, _ = plan_node t ~f ~mode child in
+  let ((sel_used, _, _) as sel) = choose_sel node ~mode ~m_next:n_new in
+  let out = sel_used *. n_new in
+  ( plans @ [ plan_entry ~op_id:node.id kind (measures ~n_in:n_new ~out) sel ],
+    out,
+    node.cum_out )
 
 let plan t ~f ~mode =
   if f <= 0.0 || f > 1.0 then invalid_arg "Staged.plan: f outside (0,1]";
   let scan_plans =
     List.map
       (fun scan ->
-        {
-          plan_id = scan.scan_id;
-          plan_op_id = scan.scan_id;
-          plan_kind = Formulas.Scan;
-          plan_measures =
-            {
-              Formulas.zero_measures with
-              Formulas.blocks = float_of_int (predicted_scan_misses t scan ~f);
-            };
-          sel_used = 1.0;
-          sel_plain = 1.0;
-          sel_variance = 0.0;
-        })
+        plan_entry ~op_id:scan.scan_id Formulas.Scan
+          {
+            Formulas.zero_measures with
+            Formulas.blocks = float_of_int (predicted_scan_misses t scan ~f);
+          }
+          (1.0, 1.0, 0.0))
       t.scans
   in
   let term_plans =
@@ -844,18 +635,11 @@ let plan t ~f ~mode =
         plans)
       t.terms
   in
-  let overhead =
-    {
-      plan_id = t.overhead_id;
-      plan_op_id = t.overhead_id;
-      plan_kind = Formulas.Overhead;
-      plan_measures = Formulas.zero_measures;
-      sel_used = 1.0;
-      sel_plain = 1.0;
-      sel_variance = 0.0;
-    }
-  in
-  scan_plans @ term_plans @ [ overhead ]
+  scan_plans @ term_plans
+  @ [
+      plan_entry ~op_id:t.overhead_id Formulas.Overhead Formulas.zero_measures
+        (1.0, 1.0, 0.0);
+    ]
 
 let predicted_cost t ~f ~mode =
   Cost_model.total t.cost_model
@@ -978,15 +762,15 @@ let draw_and_scan t device ~f =
    changes the tuples, and a zero-draw stage leaves an empty delta). *)
 let leaf_slice t node delta =
   match node.kind with
-  | Leaf scan when delta == scan.last_delta && Array.length delta > 0 -> (
-      match scan_cache t scan with
-      | Some c ->
+  | Leaf scan when delta == scan.last_delta && Array.length delta > 0 ->
+      Option.map
+        (fun cache ->
           let hi = Stage_set.drawn scan.units in
           let lo =
             hi - Stage_set.stage_size scan.units (Stage_set.stages scan.units)
           in
-          Some (c, scan, lo, hi)
-      | None -> None)
+          { Op_common.cache; file = scan.file; kind = cache_kind scan; lo; hi })
+        (scan_cache t scan)
   | _ -> None
 
 let node_label node =
@@ -994,24 +778,31 @@ let node_label node =
   | Leaf scan -> "scan:" ^ scan.relation
   | Select_node _ -> "select"
   | Project_node _ -> "project"
-  | Binary_node { op = `Join; _ } -> "join"
-  | Binary_node { op = `Intersect; _ } -> "intersect"
+  | Binary_node { shared = { op = `Join; _ }; _ } -> "join"
+  | Binary_node { shared = { op = `Intersect; _ }; _ } -> "intersect"
 
-(* Evaluate a node's stage delta; children first, own work timed and
-   fed back to the cost model and selectivity records. [eval_node]
-   wraps the real evaluator in an operator-category span (children
-   recurse through the wrapper, so the span tree mirrors the operator
-   tree); tuples-in is the number of sample-space points this stage
-   added under the node, tuples-out the delta it produced. *)
-let rec eval_node t device node : Tuple.t array =
-  let tracer = Device.tracer device in
-  if not (Tracer.enabled tracer) then eval_node_body t device node
+(* One stage's selectivity observation and point-space bookkeeping. *)
+let record_stage node ~points out =
+  let n_out = float_of_int (Array.length out) in
+  Selectivity.observe node.sel ~points ~tuples:n_out;
+  node.cum_points <- node.cum_points +. points;
+  node.cum_out <- node.cum_out +. n_out
+
+(* Evaluate a node's stage delta; children first, then the operator
+   module's own charged, timed and observed work. [eval_node] wraps
+   the dispatch in an operator-category span (children recurse through
+   the wrapper, so the span tree mirrors the operator tree); tuples-in
+   is the number of sample-space points this stage added under the
+   node, tuples-out the delta it produced. *)
+let rec eval_node t ctx node : Tuple.t array =
+  let tracer = Device.tracer ctx.Op_common.device in
+  if not (Tracer.enabled tracer) then eval_op t ctx node
   else begin
     let label = node_label node in
     let points_before = node.cum_points in
     Tracer.span_begin tracer ~cat:"operator" label
       ~args:[ ("node", Event.Int node.id) ];
-    match eval_node_body t device node with
+    match eval_op t ctx node with
     | out ->
         Tracer.span_end tracer ~cat:"operator" label
           ~args:
@@ -1028,465 +819,54 @@ let rec eval_node t device node : Tuple.t array =
         raise e
   end
 
-and eval_node_body t device node : Tuple.t array =
-  let clock = Device.clock device in
-  let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
-  let charge_out n =
-    Device.output_tuples device ~n;
-    Device.write_pages device ~n:(int_of_float (pages ~bf (float_of_int n)))
-  in
+and eval_op t ctx node : Tuple.t array =
   match node.kind with
   | Leaf scan ->
       let n = float_of_int (Array.length scan.last_delta) in
       node.cum_out <- node.cum_out +. n;
       node.cum_points <- node.cum_points +. n;
       scan.last_delta
-  | Select_node { comparisons; test; child } ->
-      let delta_in = eval_node t device child in
-      let t0 = Clock.now clock in
-      Device.check_tuples device ~n:(Array.length delta_in) ~comparisons;
-      let out =
-        match t.pool with
-        | Some pool when Array.length delta_in >= !par_threshold ->
-            par_filter pool test delta_in
-        | _ -> Array.of_seq (Seq.filter test (Array.to_seq delta_in))
-      in
-      let t1 = Clock.now clock in
-      charge_out (Array.length out);
-      let t2 = Clock.now clock in
-      let n_in = float_of_int (Array.length delta_in) in
-      let n_out = float_of_int (Array.length out) in
-      Selectivity.observe node.sel ~points:n_in ~tuples:n_out;
-      node.cum_points <- node.cum_points +. n_in;
-      node.cum_out <- node.cum_out +. n_out;
-      let m =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = n_in;
-          comparisons = float_of_int comparisons;
-          out_tuples = n_out;
-          out_pages = pages ~bf n_out;
-        }
-      in
-      Cost_model.observe_step t.cost_model ~id:node.id ~step:Formulas.Step_check
-        m ~seconds:(Device.measure device (t1 -. t0));
-      Cost_model.observe_step t.cost_model ~id:node.id ~step:Formulas.Step_output
-        m ~seconds:(Device.measure device (t2 -. t1));
+  | Select_node { select; child } ->
+      let delta = eval_node t ctx child in
+      let out = Op_select.eval ctx ~id:node.id select delta in
+      record_stage node ~points:(float_of_int (Array.length delta)) out;
       out
-  | Project_node { positions; child; groups; _ } ->
-      let delta_in = eval_node t device child in
-      let t0 = Clock.now clock in
-      let n_in = Array.length delta_in in
-      (* Figure 4.7 steps 1-3 on the new tuples. *)
-      let projected = Array.map (fun tp -> Tuple.project tp positions) delta_in in
-      Device.write_temp_tuples device ~n:n_in;
-      Device.write_pages device ~n:(int_of_float (pages ~bf (float_of_int n_in)));
-      let t1 = Clock.now clock in
-      Device.sort device ~n:n_in;
-      let t2 = Clock.now clock in
-      Device.merge_tuples device ~n:n_in;
-      let fresh = ref [] in
-      Array.iter
-        (fun tp ->
-          match Hashtbl.find_opt groups tp with
-          | Some count -> incr count
-          | None ->
-              Hashtbl.replace groups tp (ref 1);
-              fresh := tp :: !fresh)
-        projected;
-      let t3 = Clock.now clock in
-      let out = Array.of_list (List.rev !fresh) in
-      charge_out (Array.length out);
-      let t4 = Clock.now clock in
-      node.cum_points <- node.cum_points +. float_of_int n_in;
-      node.cum_out <- float_of_int (Hashtbl.length groups);
+  | Project_node { project; child } ->
+      let delta = eval_node t ctx child in
+      let out = Op_project.eval ctx ~id:node.id project delta in
+      node.cum_points <- node.cum_points +. float_of_int (Array.length delta);
+      node.cum_out <- float_of_int (Hashtbl.length project.groups);
       Selectivity.set_cumulative node.sel ~points:node.cum_points
         ~tuples:node.cum_out;
-      let m =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = float_of_int n_in;
-          temp_pages = pages ~bf (float_of_int n_in);
-          nlogn = xlog (float_of_int n_in);
-          out_tuples = float_of_int (Array.length out);
-          out_pages = pages ~bf (float_of_int (Array.length out));
-        }
-      in
-      let ob step seconds =
-        Cost_model.observe_step t.cost_model ~id:node.id ~step m
-          ~seconds:(Device.measure device seconds)
-      in
-      ob Formulas.Step_write_temp (t1 -. t0);
-      ob Formulas.Step_sort (t2 -. t1);
-      ob Formulas.Step_check (t3 -. t2);
-      ob Formulas.Step_output (t4 -. t3);
       out
   | Binary_node b ->
-      let delta_l = eval_node t device b.left in
-      let delta_r = eval_node t device b.right in
-      let cum_l_prev = sum_lengths b.deltas_l in
-      let cum_r_prev = sum_lengths b.deltas_r in
+      let delta_l = eval_node t ctx b.left in
+      let delta_r = eval_node t ctx b.right in
+      let shared = b.shared in
       let nl = float_of_int (Array.length delta_l) in
       let nr = float_of_int (Array.length delta_r) in
-      let full = is_full t in
       let points_new =
-        if full then
-          (nl *. float_of_int cum_r_prev)
-          +. (float_of_int cum_l_prev *. nr)
+        if shared.full then
+          (nl *. float_of_int (Op_common.sum_lengths shared.deltas_r))
+          +. (float_of_int (Op_common.sum_lengths shared.deltas_l) *. nr)
           +. (nl *. nr)
         else nl *. nr
       in
       let out_guess =
         Float.max 0.0 (Selectivity.estimate node.sel *. points_new)
       in
-      let path = choose_path t ~node b ~nl ~nr ~out_guess in
+      let slice_l = leaf_slice t b.left delta_l in
       let out =
-        match path with
+        match choose_path t ~node b ~nl ~nr ~out_guess with
         | `Sort ->
-            (* Figure 4.4/4.6: temp-write and sort this stage's deltas
-               (plus any deltas a hash stage left unsorted — catch-up),
-               then one merge pass per Figure 4.5 pairing. Measures are
-               taken before the retained state mutates so they match
-               what [sort_measures] promised the planner. *)
-            let m0 = sort_measures t ~node b ~nl ~nr ~out_new:0.0 in
-            let pairings = binary_pairings t b in
-            let bf_l = bf_of_bytes ~block_bytes:t.block_bytes b.left.out_bytes in
-            let bf_r = bf_of_bytes ~block_bytes:t.block_bytes b.right.out_bytes in
-            let missing_l, missing_r = unsorted_deltas b in
-            let t0 = Clock.now clock in
-            let write_side side_bf arr =
-              Device.write_temp_tuples device ~n:(Array.length arr);
-              Device.write_pages device
-                ~n:
-                  (int_of_float
-                     (pages ~bf:side_bf (float_of_int (Array.length arr))))
-            in
-            List.iter (write_side bf_l) missing_l;
-            List.iter (write_side bf_r) missing_r;
-            write_side bf_l delta_l;
-            write_side bf_r delta_r;
-            let t1 = Clock.now clock in
-            let sort_with sort arr =
-              Device.sort device ~n:(Array.length arr);
-              sort arr
-            in
-            (* This stage's delta sorts go through the shared cache
-               when the side is a leaf on the shared prefix: a hit
-               charges one probe instead of the sort. Catch-up sorts of
-               older deltas keep the plain path — their slices are
-               job-specific. The runs are never mutated after this
-               point, so sharing one across jobs is safe. *)
-            let sorted_delta side key sort arr =
-              match leaf_slice t side arr with
-              | None -> sort_with sort arr
-              | Some (c, scan, lo, hi) -> (
-                  let kind = cache_kind scan in
-                  match
-                    Cache.find_sorted_run c ~file:scan.file ~kind ~lo ~hi ~key
-                  with
-                  | Some run ->
-                      Device.cache_probe device;
-                      run
-                  | None ->
-                      let run = sort_with sort arr in
-                      let p = Device.params device in
-                      let fn = float_of_int (Array.length arr) in
-                      Cache.store_sorted_run c ~file:scan.file ~kind ~lo ~hi
-                        ~key
-                        ~cost:
-                          ((p.Cost_params.sort_per_nlogn *. xlog fn)
-                          +. (p.Cost_params.sort_per_tuple *. fn))
-                        ?keys:run.Sorted_run.keys run.Sorted_run.tuples;
-                      run)
-            in
-            let sorted_l, sorted_r =
-              let sort_tuples =
-                List.fold_left
-                  (fun acc a -> acc + Array.length a)
-                  (Array.length delta_l + Array.length delta_r)
-                  (missing_l @ missing_r)
-              in
-              match t.pool with
-              | Some pool when t.cache = None && sort_tuples >= !par_threshold ->
-                  (* The sorts are independent whole-array jobs, so they
-                     fan out as-is, never splitting one sort: each is a
-                     deterministic function of its array, whichever
-                     domain runs it. Charges are replayed up front in the
-                     sequential call order below; gated on no cache
-                     because [sorted_delta] interleaves cache probes with
-                     the charges. *)
-                  let jobs =
-                    Array.concat
-                      [
-                        Array.of_list
-                          (List.map (fun a -> (b.sort_l, a)) missing_l);
-                        Array.of_list
-                          (List.map (fun a -> (b.sort_r, a)) missing_r);
-                        [| (b.sort_r, delta_r); (b.sort_l, delta_l) |];
-                      ]
-                  in
-                  Array.iter
-                    (fun (_, a) -> Device.sort device ~n:(Array.length a))
-                    jobs;
-                  let sorted =
-                    Taqp_parallel.Pool.run pool
-                      (Array.map (fun (sort, a) () -> sort a) jobs)
-                  in
-                  let n_ml = List.length missing_l in
-                  let n_mr = List.length missing_r in
-                  b.files_l <-
-                    b.files_l @ Array.to_list (Array.sub sorted 0 n_ml);
-                  b.files_r <-
-                    b.files_r @ Array.to_list (Array.sub sorted n_ml n_mr);
-                  (sorted.(n_ml + n_mr + 1), sorted.(n_ml + n_mr))
-              | _ ->
-                  b.files_l <-
-                    b.files_l @ List.map (sort_with b.sort_l) missing_l;
-                  b.files_r <-
-                    b.files_r @ List.map (sort_with b.sort_r) missing_r;
-                  (* Right delta before left, the order the parallel
-                     region above replays. *)
-                  let sorted_r =
-                    sorted_delta b.right b.key_r b.sort_r delta_r
-                  in
-                  let sorted_l =
-                    sorted_delta b.left b.key_l b.sort_l delta_l
-                  in
-                  (sorted_l, sorted_r)
-            in
-            let t2 = Clock.now clock in
-            b.files_l <- b.files_l @ [ sorted_l ];
-            b.files_r <- b.files_r @ [ sorted_r ];
-            let file_at files i = List.nth files (i - 1) in
-            let pair_files =
-              Array.of_list
-                (List.map
-                   (fun (i, j) -> (file_at b.files_l i, file_at b.files_r j))
-                   pairings)
-            in
-            let pair_tuples (fl, fr) =
-              Sorted_run.length fl + Sorted_run.length fr
-            in
-            let merge (fl, fr) =
-              match b.op with
-              | `Join ->
-                  Sorted_run.merge_join ~key_l:b.key_l ~key_r:b.key_r
-                    ~residual:b.residual fl fr
-              | `Intersect -> (Sorted_run.merge_intersect ~key:b.key_l fl fr, 0)
-            in
-            (* Every pairing is merged first, on workers when the pool
-               is worth it, with no device; the master then replays
-               each pairing's charges in pairing order — merge_setup,
-               merge_tuples |fl|+|fr|, one residual check per candidate
-               — which is exactly the sequence a merge charging as it
-               went would issue. *)
-            let computed =
-              match t.pool with
-              | Some pool
-                when Array.length pair_files > 1
-                     && Array.fold_left
-                          (fun acc p -> acc + pair_tuples p)
-                          0 pair_files
-                        >= !par_threshold ->
-                  Taqp_parallel.Pool.run pool
-                    (Array.map (fun p () -> merge p) pair_files)
-              | _ -> Array.map merge pair_files
-            in
-            let out = ref [] in
-            let merge_reads = ref 0 in
-            Array.iteri
-              (fun idx (produced, candidates) ->
-                let n = pair_tuples pair_files.(idx) in
-                Device.merge_setup device;
-                merge_reads := !merge_reads + n;
-                Device.merge_tuples device ~n;
-                for _ = 1 to candidates do
-                  Device.check_tuples device ~n:1
-                    ~comparisons:b.residual_comparisons
-                done;
-                out := List.rev_append produced !out)
-              computed;
-            let t3 = Clock.now clock in
-            let out = Array.of_list (List.rev !out) in
-            charge_out (Array.length out);
-            let t4 = Clock.now clock in
-            let n_out = float_of_int (Array.length out) in
-            let m =
-              {
-                m0 with
-                Formulas.merge_reads = float_of_int !merge_reads;
-                out_tuples = n_out;
-                out_pages = pages ~bf n_out;
-              }
-            in
-            let ob step seconds =
-              Cost_model.observe_step t.cost_model ~id:node.id ~step m
-                ~seconds:(Device.measure device seconds)
-            in
-            ob Formulas.Step_write_temp (t1 -. t0);
-            ob Formulas.Step_sort (t2 -. t1);
-            ob Formulas.Step_merge (t3 -. t2);
-            ob Formulas.Step_output (t4 -. t3);
-            out
-        | `Hash ->
-            (* Incremental hash path: no temp files, no sorts, no
-               re-reading of old sample units. Under full fulfillment
-               the symmetric-hash order — probe the left delta against
-               the old right index, insert it, probe the right delta
-               against the now-current left index, insert it — covers
-               exactly the full-fulfillment new point space
-               nl*cum_r + cum_l*nr + nl*nr. Build and probe time are
-               accumulated separately (they interleave) and observed
-               into the hash path's own cost-model node. *)
-            let m0 = hash_measures t ~node b ~nl ~nr ~out_new:0.0 in
-            let build_s = ref 0.0 and probe_s = ref 0.0 in
-            let timed acc f =
-              let s = Clock.now clock in
-              let r = f () in
-              acc := !acc +. (Clock.now clock -. s);
-              r
-            in
-            let probe_with index ~probe_key ~indexed_side probes =
-              match t.pool with
-              | Some pool when Array.length probes >= !par_threshold ->
-                  (* The index is read-only during a probe, so disjoint
-                     probe chunks fan out; chunk outputs concatenate in
-                     chunk order = probe order. The master replays the
-                     one hash_probe entry charge plus the per-candidate
-                     checks the sequential probe would have made. *)
-                  let chunks =
-                    Taqp_parallel.Pool.run pool
-                      (Array.map
-                         (fun (r : Taqp_parallel.Shard.range) () ->
-                           let sub =
-                             Array.sub probes r.lo (r.hi - r.lo)
-                           in
-                           match (b.op, indexed_side) with
-                           | `Join, _ ->
-                               Ops.probe_join_counted ~index ~probe_key
-                                 ~indexed_side ~residual:b.residual sub
-                           | `Intersect, `Left ->
-                               ( Ops.hash_probe_intersect ~index
-                                   ~emit_side:`Indexed sub,
-                                 0 )
-                           | `Intersect, `Right ->
-                               ( Ops.hash_probe_intersect ~index
-                                   ~emit_side:`Probe sub,
-                                 0 ))
-                         (par_chunks pool (Array.length probes)))
-                  in
-                  Device.hash_probe device ~n:(Array.length probes);
-                  Array.iter
-                    (fun (_, candidates) ->
-                      for _ = 1 to candidates do
-                        Device.check_tuples device ~n:1
-                          ~comparisons:b.residual_comparisons
-                      done)
-                    chunks;
-                  List.concat_map fst (Array.to_list chunks)
-              | _ -> (
-                  match (b.op, indexed_side) with
-                  | `Join, _ ->
-                      Ops.hash_probe_join ~device ~index ~probe_key
-                        ~indexed_side ~residual:b.residual
-                        ~residual_comparisons:b.residual_comparisons probes
-                  | `Intersect, `Left ->
-                      Ops.hash_probe_intersect ~device ~index
-                        ~emit_side:`Indexed probes
-                  | `Intersect, `Right ->
-                      Ops.hash_probe_intersect ~device ~index
-                        ~emit_side:`Probe probes)
-            in
-            let produced =
-              if full then begin
-                let miss_l, miss_r = unhashed_deltas b in
-                timed build_s (fun () ->
-                    List.iter (Ops.Hash_index.add ~device b.hash_l) miss_l;
-                    List.iter (Ops.Hash_index.add ~device b.hash_r) miss_r);
-                b.hashed_l <- List.length b.deltas_l;
-                b.hashed_r <- List.length b.deltas_r;
-                let out_l =
-                  timed probe_s (fun () ->
-                      probe_with b.hash_r ~probe_key:b.key_l
-                        ~indexed_side:`Right delta_l)
-                in
-                timed build_s (fun () ->
-                    Ops.Hash_index.add ~device b.hash_l delta_l);
-                b.hashed_l <- b.hashed_l + 1;
-                let out_r =
-                  timed probe_s (fun () ->
-                      probe_with b.hash_l ~probe_key:b.key_r ~indexed_side:`Left
-                        delta_r)
-                in
-                timed build_s (fun () ->
-                    Ops.Hash_index.add ~device b.hash_r delta_r);
-                b.hashed_r <- b.hashed_r + 1;
-                List.rev_append (List.rev out_l) out_r
-              end
-              else begin
-                (* Partial fulfillment evaluates only delta x delta: a
-                   transient index, nothing retained by the node — but
-                   shared-cacheable when the left side is a leaf on the
-                   shared prefix, since any job staging the same slice
-                   builds the identical index. Cached indexes are only
-                   ever probed, never added to. *)
-                let index =
-                  match leaf_slice t b.left delta_l with
-                  | None ->
-                      let index = Ops.Hash_index.create ~key:b.key_l in
-                      timed build_s (fun () ->
-                          Ops.Hash_index.add ~device index delta_l);
-                      index
-                  | Some (c, scan, lo, hi) -> (
-                      let kind = cache_kind scan in
-                      match
-                        Cache.find_hash_index c ~file:scan.file ~kind ~lo ~hi
-                          ~key:b.key_l
-                      with
-                      | Some index ->
-                          timed build_s (fun () -> Device.cache_probe device);
-                          index
-                      | None ->
-                          let index = Ops.Hash_index.create ~key:b.key_l in
-                          timed build_s (fun () ->
-                              Ops.Hash_index.add ~device index delta_l);
-                          let p = Device.params device in
-                          Cache.store_hash_index c ~file:scan.file ~kind ~lo
-                            ~hi ~key:b.key_l
-                            ~cost:
-                              (float_of_int (Array.length delta_l)
-                              *. p.Cost_params.hash_build_per_tuple)
-                            index;
-                          index)
-                in
-                timed probe_s (fun () ->
-                    probe_with index ~probe_key:b.key_r ~indexed_side:`Left
-                      delta_r)
-              end
-            in
-            let out = Array.of_list produced in
-            let t_o0 = Clock.now clock in
-            charge_out (Array.length out);
-            let t_o1 = Clock.now clock in
-            let n_out = float_of_int (Array.length out) in
-            let m =
-              { m0 with Formulas.out_tuples = n_out; out_pages = pages ~bf n_out }
-            in
-            let ob step seconds =
-              Cost_model.observe_step t.cost_model ~id:b.hash_id ~step m
-                ~seconds:(Device.measure device seconds)
-            in
-            ob Formulas.Step_hash_build !build_s;
-            ob Formulas.Step_hash_probe !probe_s;
-            ob Formulas.Step_output (t_o1 -. t_o0);
-            out
+            Op_sort_merge.eval ctx ~id:node.id b.sort ~slice_l
+              ~slice_r:(leaf_slice t b.right delta_r)
+              delta_l delta_r
+        | `Hash -> Op_hash.eval ctx b.hash ~slice_l delta_l delta_r
       in
-      b.deltas_l <- b.deltas_l @ [ delta_l ];
-      b.deltas_r <- b.deltas_r @ [ delta_r ];
-      let n_out = float_of_int (Array.length out) in
-      Selectivity.observe node.sel ~points:points_new ~tuples:n_out;
-      node.cum_points <- node.cum_points +. points_new;
-      node.cum_out <- node.cum_out +. n_out;
+      shared.deltas_l <- shared.deltas_l @ [ delta_l ];
+      shared.deltas_r <- shared.deltas_r @ [ delta_r ];
+      record_stage node ~points:points_new out;
       out
 
 (* ------------------------------------------------------------------ *)
@@ -1498,9 +878,10 @@ and eval_node_body t device node : Tuple.t array =
 let rec select_chain node =
   match node.kind with
   | Leaf scan -> Some (scan, [], [])
-  | Select_node { test; child; _ } ->
+  | Select_node { select; child } ->
       Option.map
-        (fun (scan, tests, nodes) -> (scan, tests @ [ test ], nodes @ [ node ]))
+        (fun (scan, tests, nodes) ->
+          (scan, tests @ [ select.test ], nodes @ [ node ]))
         (select_chain child)
   | Project_node _ | Binary_node _ -> None
 
@@ -1580,8 +961,10 @@ let term_total_points term = term.root.subtree_points
 
 let project_estimate t term ~evaluated ~total =
   match term.root.kind with
-  | Project_node { groups; child; _ } ->
-      let occupancies = Hashtbl.fold (fun _ c acc -> !c :: acc) groups [] in
+  | Project_node { project; child } ->
+      let occupancies =
+        Hashtbl.fold (fun _ c acc -> !c :: acc) project.groups []
+      in
       let qualifying_sample = child.cum_out in
       if qualifying_sample <= 0.0 then
         Count_estimator.of_sample ~hits:0.0 ~points:evaluated ~total_points:total
@@ -1701,8 +1084,10 @@ let current_estimate t = t.last_estimate
 
 let group_estimates t =
   match t.terms with
-  | [ { sign = 1; root = { kind = Project_node { groups; _ }; _ }; _ } as term ]
-    ->
+  | [
+      { sign = 1; root = { kind = Project_node { project = { groups; _ }; _ }; _ }; _ }
+      as term;
+    ] ->
       let evaluated = term_evaluated_points t term in
       if evaluated <= 0.0 then None
       else begin
@@ -1729,8 +1114,9 @@ let run_stage t ~device ~f =
     if new_units = [] then None
     else begin
       let t0 = Clock.now clock in
+      let ctx = { Op_common.device; cost_model = t.cost_model; pool = t.pool } in
       let root_deltas =
-        List.map (fun term -> eval_node t device term.root) t.terms
+        List.map (fun term -> eval_node t ctx term.root) t.terms
       in
       List.iter2
         (fun term delta ->
@@ -1827,10 +1213,10 @@ let rec snapshot_state node =
     match node.kind with
     | Leaf _ -> Ns_leaf
     | Select_node { child; _ } -> Ns_select (snapshot_state child)
-    | Project_node { child; groups; _ } ->
+    | Project_node { project; child } ->
         Ns_project
           {
-            np_groups = Hashtbl.fold (fun tp c acc -> (tp, !c) :: acc) groups [];
+            np_groups = Op_project.snapshot project;
             np_child = snapshot_state child;
           }
     | Binary_node b ->
@@ -1838,12 +1224,12 @@ let rec snapshot_state node =
           {
             nb_left = snapshot_state b.left;
             nb_right = snapshot_state b.right;
-            nb_deltas_l = b.deltas_l;
-            nb_deltas_r = b.deltas_r;
-            nb_files_l = List.length b.files_l;
-            nb_files_r = List.length b.files_r;
-            nb_hashed_l = b.hashed_l;
-            nb_hashed_r = b.hashed_r;
+            nb_deltas_l = b.shared.deltas_l;
+            nb_deltas_r = b.shared.deltas_r;
+            nb_files_l = List.length b.sort.files_l;
+            nb_files_r = List.length b.sort.files_r;
+            nb_hashed_l = b.hash.hashed_l;
+            nb_hashed_r = b.hash.hashed_r;
           }
   in
   {
@@ -1882,8 +1268,6 @@ let snapshot t =
 let shape_error () =
   invalid_arg "Staged.restore: snapshot does not match the compiled query"
 
-let take n l = List.filteri (fun i _ -> i < n) l
-
 let rec restore_state node ns =
   if node.id <> ns.ns_id then shape_error ();
   node.cum_out <- ns.ns_cum_out;
@@ -1892,32 +1276,22 @@ let rec restore_state node ns =
   match (node.kind, ns.ns_kind) with
   | Leaf _, Ns_leaf -> ()
   | Select_node { child; _ }, Ns_select cs -> restore_state child cs
-  | Project_node { child; groups; _ }, Ns_project { np_groups; np_child } ->
-      Hashtbl.reset groups;
-      List.iter (fun (tp, c) -> Hashtbl.replace groups tp (ref c)) np_groups;
+  | Project_node { project; child }, Ns_project { np_groups; np_child } ->
+      Op_project.restore project np_groups;
       restore_state child np_child
   | Binary_node b, Ns_binary bs ->
       restore_state b.left bs.nb_left;
       restore_state b.right bs.nb_right;
-      b.deltas_l <- bs.nb_deltas_l;
-      b.deltas_r <- bs.nb_deltas_r;
+      b.shared.deltas_l <- bs.nb_deltas_l;
+      b.shared.deltas_r <- bs.nb_deltas_r;
       (* Sorted files and hash indexes are deterministic functions of
-         the delta prefix each path had processed: rebuild them exactly
-         as the sort/hash stages originally did (same arrays, same
-         deterministic sorts, same insertion order — the structures come
-         back bit-identical, probe emission order included). No device
-         is charged: recovery pays journal-read time, not a replay of
-         work that already happened. *)
-      b.files_l <- List.map b.sort_l (take bs.nb_files_l bs.nb_deltas_l);
-      b.files_r <- List.map b.sort_r (take bs.nb_files_r bs.nb_deltas_r);
-      List.iter
-        (fun d -> Ops.Hash_index.add b.hash_l d)
-        (take bs.nb_hashed_l bs.nb_deltas_l);
-      List.iter
-        (fun d -> Ops.Hash_index.add b.hash_r d)
-        (take bs.nb_hashed_r bs.nb_deltas_r);
-      b.hashed_l <- bs.nb_hashed_l;
-      b.hashed_r <- bs.nb_hashed_r
+         the delta prefix each path had processed: rebuilding them from
+         the same arrays, with the same sorts and insertion order, gives
+         them back bit-identical, probe emission order included. No
+         device is charged: recovery pays journal-read time, not a
+         replay of work that already happened. *)
+      Op_sort_merge.restore b.sort ~files_l:bs.nb_files_l ~files_r:bs.nb_files_r;
+      Op_hash.restore b.hash ~hashed_l:bs.nb_hashed_l ~hashed_r:bs.nb_hashed_r
   | (Leaf _ | Select_node _ | Project_node _ | Binary_node _), _ ->
       shape_error ()
 

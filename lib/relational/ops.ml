@@ -311,10 +311,7 @@ module Hash_index = struct
         t.size <- t.size + 1)
       tuples
 
-  let probe ?device ~probe_key t tuples ~emit =
-    (match device with
-    | None -> ()
-    | Some d -> Device.hash_probe d ~n:(Array.length tuples));
+  let probe ~probe_key t tuples ~emit =
     Array.iter
       (fun probe_tuple ->
         match find_group t (Tuple.key probe_tuple probe_key) with
@@ -323,21 +320,6 @@ module Hash_index = struct
             List.iter (fun indexed -> emit ~indexed ~probe:probe_tuple) g.tuples)
       tuples
 end
-
-let hash_probe_join ?device ~index ~probe_key ~indexed_side ~residual
-    ~residual_comparisons probes =
-  let out = ref [] in
-  Hash_index.probe ?device ~probe_key index probes ~emit:(fun ~indexed ~probe ->
-      (match device with
-      | None -> ()
-      | Some d -> Device.check_tuples d ~n:1 ~comparisons:residual_comparisons);
-      let t =
-        match indexed_side with
-        | `Left -> Tuple.concat indexed probe
-        | `Right -> Tuple.concat probe indexed
-      in
-      if residual t then out := t :: !out);
-  List.rev !out
 
 let probe_join_counted ~index ~probe_key ~indexed_side ~residual probes =
   let out = ref [] in
@@ -352,14 +334,18 @@ let probe_join_counted ~index ~probe_key ~indexed_side ~residual probes =
       if residual t then out := t :: !out);
   (List.rev !out, !candidates)
 
-let hash_probe_intersect ?device ~index ~emit_side probes =
+let hash_probe_join ~index ~probe_key ~indexed_side ~residual
+    ~residual_comparisons:_ probes =
+  fst (probe_join_counted ~index ~probe_key ~indexed_side ~residual probes)
+
+let hash_probe_intersect ~index ~emit_side probes =
   let probe_key =
     match probes with
     | [||] -> Hash_index.key_positions index
     | a -> Array.init (Tuple.arity a.(0)) (fun i -> i)
   in
   let out = ref [] in
-  Hash_index.probe ?device ~probe_key index probes ~emit:(fun ~indexed ~probe ->
+  Hash_index.probe ~probe_key index probes ~emit:(fun ~indexed ~probe ->
       let t = match emit_side with `Indexed -> indexed | `Probe -> probe in
       out := t :: !out);
   List.rev !out

@@ -5,7 +5,10 @@
     them, and merge. When a {!Taqp_storage.Device.t} is supplied every
     step charges the clock, reproducing the cost structure of equations
     (4.1)-(4.5); without a device the operators are pure functions
-    (used for ground-truth counting and tests).
+    (used for ground-truth counting and tests). The hash-index probes
+    never take a device: they are pure, and the staged engine charges
+    the probe and its per-candidate residual checks itself, from the
+    candidate count {!probe_join_counted} returns.
 
     Bag semantics: Select/Join/Intersect preserve multiplicity (each
     qualifying point of the point space yields one output tuple);
@@ -125,40 +128,40 @@ module Hash_index : sig
   (** Insert a delta; charges {!Device.hash_build} for its tuples. *)
 
   val probe :
-    ?device:Device.t ->
     probe_key:int array ->
     t ->
     Tuple.t array ->
     emit:(indexed:Tuple.t -> probe:Tuple.t -> unit) ->
     unit
   (** For every probe tuple (in array order) call [emit] once per
-      indexed tuple whose key values all compare equal; charges
-      {!Device.hash_probe} for the probe tuples. *)
+      indexed tuple whose key values all compare equal. Read-only on
+      the index; charges nothing. *)
 end
-
-val hash_probe_join :
-  ?device:Device.t -> index:Hash_index.t -> probe_key:int array ->
-  indexed_side:[ `Left | `Right ] ->
-  residual:(Tuple.t -> bool) -> residual_comparisons:int ->
-  Tuple.t array -> Tuple.t list
-(** Hash-path counterpart of {!merge_sorted_join}: probe the delta
-    against the opposite side's retained index, concatenating each
-    candidate in schema order ([indexed_side] says which side the index
-    holds) and filtering by the residual predicate (charged per
-    candidate, like the merge path). Returns the same multiset of
-    tuples a sort-merge of the same operands would. *)
 
 val probe_join_counted :
   index:Hash_index.t -> probe_key:int array ->
   indexed_side:[ `Left | `Right ] -> residual:(Tuple.t -> bool) ->
   Tuple.t array -> Tuple.t list * int
-(** Pure {!hash_probe_join}: same output list, plus the number of
-    candidates emitted by the index probe. Read-only on the index, so
-    disjoint probe chunks may run on separate domains concurrently;
-    the caller replays [hash_probe n] plus one check per candidate. *)
+(** Hash-path counterpart of {!merge_sorted_join}: probe the delta
+    against the opposite side's retained index, concatenating each
+    candidate in schema order ([indexed_side] says which side the index
+    holds) and keeping those the residual predicate accepts. Returns
+    them in probe order, plus the number of candidates the index
+    emitted: each costs one residual check, which the caller charges
+    after [hash_probe n]. The same multiset of tuples a sort-merge of
+    the same operands gives. Read-only on the index, so disjoint probe
+    chunks may run on separate domains concurrently. *)
+
+val hash_probe_join :
+  index:Hash_index.t -> probe_key:int array ->
+  indexed_side:[ `Left | `Right ] ->
+  residual:(Tuple.t -> bool) -> residual_comparisons:int ->
+  Tuple.t array -> Tuple.t list
+(** {!probe_join_counted}'s tuples alone. [residual_comparisons] is
+    unused, as in {!merge_sorted_join}. *)
 
 val hash_probe_intersect :
-  ?device:Device.t -> index:Hash_index.t -> emit_side:[ `Indexed | `Probe ] ->
+  index:Hash_index.t -> emit_side:[ `Indexed | `Probe ] ->
   Tuple.t array -> Tuple.t list
 (** Hash-path counterpart of {!merge_sorted_intersect}: the index is
     keyed on all fields; emits one left-side tuple per matching cross

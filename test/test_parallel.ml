@@ -29,6 +29,8 @@ module Event = Taqp_obs.Event
 module Ledger = Taqp_audit.Ledger
 module Pool = Taqp_parallel.Pool
 module Shard = Taqp_parallel.Shard
+module Cache = Taqp_cache.Cache
+module Plan = Taqp_sampling.Plan
 
 let checkb = Fixtures.checkb
 let checki = Fixtures.checki
@@ -138,6 +140,97 @@ let test_identity_matrix () =
                 (matrix_fixtures seed))
             physicals)
         seeds)
+
+(* Jobs in sequence on one device, one tracer and one shared cache:
+   later jobs hit the blocks, sorted runs and hash indexes earlier jobs
+   stored, and a tiny budget makes the store evict between probes. The
+   parallel regions then interleave with cache probes, which are
+   charges. *)
+let cached_jobs ~domains ~physical ~fulfillment ~budget_mb ~quota
+    (wl : Paper_setup.t) =
+  let config =
+    {
+      Fixtures.observe_config with
+      Config.physical;
+      domains;
+      plan = { Fixtures.observe_config.Config.plan with Plan.fulfillment };
+    }
+  in
+  let cache = Cache.create ~budget_mb ~seed:17 () in
+  let sink, events = Sink.memory () in
+  let rng = Prng.create 29 in
+  let clock = Clock.create_virtual () in
+  let tracer = Tracer.make ~now:(fun () -> Clock.now clock) ~sink in
+  let device =
+    Device.create ~params:Cost_params.default ~jitter_rng:(Prng.split rng)
+      ~tracer clock
+  in
+  let fingerprints =
+    List.init 3 (fun _ ->
+        fingerprint
+          (Executor.run ~config ~aggregate:Aggregate.Count ~cache ~device
+             ~catalog:wl.Paper_setup.catalog ~rng:(Prng.split rng) ~quota
+             wl.Paper_setup.query))
+  in
+  Tracer.close tracer;
+  (String.concat "\n" fingerprints, events (), Cache.stats cache)
+
+(* The matrix fixtures at quotas where every job runs stages (at the
+   matrix's 2.5 s, three_way_join runs none). *)
+let cached_fixtures () =
+  List.map2
+    (fun (name, wl, _) quota -> (name, wl, quota))
+    (matrix_fixtures 3) [ 8.0; 4.0; 30.0 ]
+
+let test_identity_cached () =
+  Staged.set_parallel_threshold 1;
+  Fun.protect
+    ~finally:(fun () -> Staged.set_parallel_threshold 2048)
+    (fun () ->
+      List.iter
+        (fun (fname, wl, quota) ->
+          List.iter
+            (fun physical ->
+              List.iter
+                (fun fulfillment ->
+                  List.iter
+                    (fun (budget, budget_mb) ->
+                      let run domains =
+                        cached_jobs ~domains ~physical ~fulfillment ~budget_mb
+                          ~quota wl
+                      in
+                      let fp1, tr1, st1 = run 1 in
+                      (* the cells exercise what they are named for *)
+                      if budget = "tiny" then
+                        checkb (fname ^ ": tiny budget evicts") true
+                          (st1.Cache.evictions > 0)
+                      else
+                        checkb (fname ^ ": roomy budget hits") true
+                          (st1.Cache.hits > 0);
+                      List.iter
+                        (fun domains ->
+                          if domains > 1 then begin
+                            let ctx =
+                              Fmt.str "%s/%s/%s/%s/domains=%d" fname
+                                (physical_name physical)
+                                (if fulfillment = Plan.Full then "full"
+                                 else "partial")
+                                budget domains
+                            in
+                            let fpn, trn, stn = run domains in
+                            checks (ctx ^ ": report fingerprints") fp1 fpn;
+                            checki (ctx ^ ": trace length") (List.length tr1)
+                              (List.length trn);
+                            checkb (ctx ^ ": trace stream") true
+                              (List.for_all2 (fun (a : Event.t) b -> a = b) tr1
+                                 trn);
+                            checkb (ctx ^ ": cache stats") true (st1 = stn)
+                          end)
+                        Fixtures.domains_matrix)
+                    [ ("tiny", 0.005); ("roomy", 8.0) ])
+                [ Plan.Full; Plan.Partial ])
+            [ Config.Sort_merge; Config.Hash; Config.Adaptive ])
+        (cached_fixtures ()))
 
 let test_identity_sharded_skew () =
   (* The shared sharded fixture, maximally skewed: qualifying density
@@ -335,6 +428,8 @@ let () =
         [
           Alcotest.test_case "1-vs-N bit-identity matrix" `Slow
             test_identity_matrix;
+          Alcotest.test_case "1-vs-N identity, shared cache" `Slow
+            test_identity_cached;
           Alcotest.test_case "sharded fixture, skewed density" `Quick
             test_identity_sharded_skew;
           Alcotest.test_case "TAQP_DOMAINS config default" `Quick
