@@ -764,10 +764,9 @@ let explain_static catalog expr =
           ~rng:(Taqp_rng.Prng.create 1) ~cost_model:cm expr
       in
       Fmt.pr "predicted first-stage cost (untrained cost model):@.";
+      let price = Staged.pricer staged ~mode:Staged.Plain in
       List.iter
-        (fun f ->
-          Fmt.pr "  f = %-6g -> %8.2f s@." f
-            (Staged.predicted_cost staged ~f ~mode:Staged.Plain))
+        (fun f -> Fmt.pr "  f = %-6g -> %8.2f s@." f (price f))
         [ 0.001; 0.01; 0.05; 0.1; 0.5 ];
       `Ok ()
   | exception Taqp_estimators.Inclusion_exclusion.Unsupported m -> fail "%s" m

@@ -11,18 +11,36 @@ type unit_kind = Blocks | Tuples
 
 let kind_tag = function Blocks -> 0 | Tuples -> 1
 
+(* A [predict_misses] running count for one prefix and start offset
+   [lo]: [m_cum.(j)] is the reads serving offsets [lo, lo+j) costs, for
+   [j <= m_len]; under [Tuples], [m_filled] holds the uncached blocks
+   those offsets already counted, so a second tuple of one block costs
+   nothing. *)
+type memo = {
+  mutable m_cum : int array;
+  mutable m_len : int;
+  m_filled : (int, unit) Hashtbl.t;
+}
+
 (* One shared without-replacement permutation prefix per (relation,
    unit kind). [p_units.(0 .. p_len)] is a uniformly random sequence of
    distinct units, extended on demand from [p_rng]; any prefix of it is
    a simple random sample, so a consumer holding offsets [0, m) has
    exactly the sample its private stream would have given it — just the
-   *same* one every other consumer holds. *)
+   *same* one every other consumer holds.
+
+   [p_memos] holds the prefix's miss memos by [lo]. A memo counts only
+   [K_block] residency of its own relation at offsets it has already
+   materialized, so only a block insert or removal of that relation
+   can move it ([drop_memos]); a summary store cannot, and an
+   extension only appends offsets past every counted one. *)
 type prefix = {
   p_n : int;
   mutable p_units : int array;
   mutable p_len : int;
   p_drawn : (int, unit) Hashtbl.t;
   p_rng : Prng.t;
+  p_memos : (int, memo) Hashtbl.t;
 }
 
 type value =
@@ -70,16 +88,6 @@ type binding = {
 
 type stats = { hits : int; misses : int; evictions : int; bytes : int }
 
-(* A [predict_misses] running count for one prefix and start offset
-   [lo]: [m_cum.(j)] is the reads serving offsets [lo, lo+j) costs, for
-   [j <= m_len]; [m_filled] holds the uncached blocks those offsets
-   already counted, so a second tuple of one block costs nothing. *)
-type memo = {
-  mutable m_cum : int array;
-  mutable m_len : int;
-  m_filled : (int, unit) Hashtbl.t;
-}
-
 type t = {
   budget_bytes : int;
   seed : int;
@@ -95,11 +103,9 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable binding : binding option;
-  memos : (int * int * int, memo) Hashtbl.t;
-      (* (uid, kind tag, lo); dropped by every store insert or removal
-         and every prefix extension. The prefix drop in
-         [invalidate_relation] needs no drop of its own: a re-created
-         prefix reaches a memo only once extended. *)
+  resident : (int, Bytes.t) Hashtbl.t;
+      (* uid -> byte [b] nonzero iff block [b] is in [store]: what a miss
+         memo walks, read without hashing a key per block *)
 }
 
 let create ?(budget_mb = 16.0) ?(seed = 0) () =
@@ -116,7 +122,7 @@ let create ?(budget_mb = 16.0) ?(seed = 0) () =
     misses = 0;
     evictions = 0;
     binding = None;
-    memos = Hashtbl.create 16;
+    resident = Hashtbl.create 16;
   }
 
 let budget_bytes t = t.budget_bytes
@@ -154,7 +160,45 @@ let bind_metrics t m =
 
 let hit (t : t) = t.hits <- t.hits + 1; sync_binding t
 let miss (t : t) = t.misses <- t.misses + 1; sync_binding t
-let drop_memos t = Hashtbl.reset t.memos
+
+(* Every miss memo of relation [uid], both unit kinds: what a change to
+   the relation's block residency can move. *)
+let drop_memos t uid =
+  List.iter
+    (fun kind ->
+      match Hashtbl.find_opt t.prefixes (uid, kind_tag kind) with
+      | Some p -> Hashtbl.reset p.p_memos
+      | None -> ())
+    [ Blocks; Tuples ]
+
+let resident_blocks t uid =
+  Option.value (Hashtbl.find_opt t.resident uid) ~default:Bytes.empty
+
+let is_resident bm b = b < Bytes.length bm && Bytes.get bm b <> '\000'
+
+(* Grown on demand, by doubling, to cover the highest block stored. *)
+let set_resident t uid b v =
+  let bm = resident_blocks t uid in
+  let bm =
+    if b < Bytes.length bm || not v then bm
+    else begin
+      let grown = Bytes.make (Int.max (b + 1) (2 * Bytes.length bm)) '\000' in
+      Bytes.blit bm 0 grown 0 (Bytes.length bm);
+      Hashtbl.replace t.resident uid grown;
+      grown
+    end
+  in
+  if b < Bytes.length bm then Bytes.set bm b (if v then '\001' else '\000')
+
+(* Only block residency reaches a memo. *)
+let store_changed t ~stored = function
+  | K_block (uid, b) ->
+      set_resident t uid b stored;
+      drop_memos t uid
+  | K_sorted _ | K_hash _ -> ()
+
+let memo_count t =
+  Hashtbl.fold (fun _ p acc -> acc + Hashtbl.length p.p_memos) t.prefixes 0
 
 (* ------------------------------------------------------------------ *)
 (* Cost classes                                                        *)
@@ -194,7 +238,7 @@ let remove_entry t s =
   unlink s;
   if s.s_ring.s_next == s.s_ring then Hashtbl.remove t.classes s.s_cost;
   t.bytes <- t.bytes - s.s_bytes;
-  drop_memos t
+  store_changed t ~stored:false s.s_key
 
 (* ------------------------------------------------------------------ *)
 (* Generations and invalidation                                        *)
@@ -207,6 +251,8 @@ let generation t file = gen_of_uid t (Heap_file.uid file)
 let invalidate_relation t file =
   let uid = Heap_file.uid file in
   Hashtbl.replace t.generations uid (gen_of_uid t uid + 1);
+  (* The relation's memos go with its prefixes, whether or not it has
+     stored entries for [remove_entry] to drop them. *)
   Hashtbl.remove t.prefixes (uid, kind_tag Blocks);
   Hashtbl.remove t.prefixes (uid, kind_tag Tuples);
   let doomed =
@@ -269,7 +315,7 @@ let insert t k ~bytes ~cost v =
     link_tail s;
     Hashtbl.replace t.store k s;
     t.bytes <- t.bytes + bytes;
-    drop_memos t;
+    store_changed t ~stored:true k;
     evict_until_fits t
   end
 
@@ -313,14 +359,14 @@ let prefix_for t file kind =
           p_len = 0;
           p_drawn = Hashtbl.create 64;
           p_rng = Prng.split root;
+          p_memos = Hashtbl.create 8;
         }
       in
       Hashtbl.replace t.prefixes key p;
       p
 
-let extend_prefix t p upto =
+let extend_prefix p upto =
   if upto > p.p_len then begin
-    drop_memos t;
     let need = Int.min upto p.p_n - p.p_len in
     let fresh =
       Taqp_rng.Sample.from_excluding p.p_rng ~k:need ~n:p.p_n
@@ -345,7 +391,7 @@ let prefix_units t ~file ~kind ~lo ~k =
   let p = prefix_for t file kind in
   if lo < 0 || k < 0 || lo + k > p.p_n then
     invalid_arg "Cache.prefix_units: offsets exceed population";
-  extend_prefix t p (lo + k);
+  extend_prefix p (lo + k);
   List.init k (fun i -> p.p_units.(lo + i))
 
 let block_of_unit file kind u =
@@ -360,34 +406,43 @@ let extend_memo t ~file ~kind p ~lo m upto =
       Array.blit m.m_cum 0 grown 0 (m.m_len + 1);
       m.m_cum <- grown
     end;
-    let uid = Heap_file.uid file in
+    let resident = resident_blocks t (Heap_file.uid file) in
+    (* A [Blocks] prefix never repeats a unit, so no block is counted
+       twice and [m_filled] stays empty. *)
+    let repeats = match kind with Blocks -> false | Tuples -> true in
     for j = m.m_len to upto - 1 do
       let b = block_of_unit file kind p.p_units.(lo + j) in
       (* blocks the stage will have filled itself by the time it needs
          them again (two tuples of one uncached block cost one read) *)
       let read =
-        (not (Hashtbl.mem t.store (K_block (uid, b))))
-        && not (Hashtbl.mem m.m_filled b)
+        (not (is_resident resident b))
+        && not (repeats && Hashtbl.mem m.m_filled b)
       in
-      if read then Hashtbl.add m.m_filled b ();
+      if read && repeats then Hashtbl.add m.m_filled b ();
       m.m_cum.(j + 1) <- (m.m_cum.(j) + if read then 1 else 0)
     done;
     m.m_len <- upto
   end
 
+(* A memo lives until a block of its relation enters or leaves the
+   store; past this many start offsets on one prefix the table starts
+   over, which bounds it without changing an answer. *)
+let max_memos = 64
+
 (* Stage planning bisects on the sample fraction and prices every probe
-   here, at one [lo] and many [k], with no cache mutation in between;
-   the memo turns each repeat into a lookup instead of a rescan. *)
-let predict_misses t ~file ~kind ~lo ~k =
+   at one [lo] and many [k], with no cache mutation in between: the
+   prefix and memo are found once, and each probe is an array read
+   plus the offsets beyond the furthest one already counted. *)
+let misses_from t ~file ~kind ~lo =
   let uid = Heap_file.uid file in
   match Hashtbl.find_opt t.prefixes (uid, kind_tag kind) with
-  | Some p when lo < p.p_len && k > 0 ->
-      let mat = Int.min k (p.p_len - lo) in
-      let key = (uid, kind_tag kind, lo) in
+  | Some p when lo < p.p_len ->
       let m =
-        match Hashtbl.find_opt t.memos key with
+        match Hashtbl.find_opt p.p_memos lo with
         | Some m -> m
         | None ->
+            if Hashtbl.length p.p_memos >= max_memos then
+              Hashtbl.reset p.p_memos;
             let m =
               {
                 m_cum = Array.make 64 0;
@@ -395,12 +450,19 @@ let predict_misses t ~file ~kind ~lo ~k =
                 m_filled = Hashtbl.create 16;
               }
             in
-            Hashtbl.replace t.memos key m;
+            Hashtbl.replace p.p_memos lo m;
             m
       in
-      extend_memo t ~file ~kind p ~lo m mat;
-      m.m_cum.(mat) + (k - mat)
-  | Some _ | None -> k
+      fun k ->
+        if k <= 0 then k
+        else begin
+          let mat = Int.min k (p.p_len - lo) in
+          extend_memo t ~file ~kind p ~lo m mat;
+          m.m_cum.(mat) + (k - mat)
+        end
+  | Some _ | None -> Fun.id
+
+let predict_misses t ~file ~kind ~lo ~k = misses_from t ~file ~kind ~lo k
 
 (* ------------------------------------------------------------------ *)
 (* Blocks and summaries                                                *)
@@ -416,7 +478,7 @@ let store_block t ~file i ~cost tuples =
     ~bytes:(Array.length tuples * Heap_file.tuple_bytes file)
     ~cost (Block tuples)
 
-let mem_block t ~file i = Hashtbl.mem t.store (K_block (Heap_file.uid file, i))
+let mem_block t ~file i = is_resident (resident_blocks t (Heap_file.uid file)) i
 
 let summary_key ctor t file ~kind ~lo ~hi ~key =
   let uid = Heap_file.uid file in

@@ -84,16 +84,31 @@ val predict_misses : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
 
     Memoized: per relation, unit kind and [lo], the cache keeps the
     running miss count of offsets [lo, lo+j), extended only as far as
-    a call needs. Every store insert, every removal (eviction or
-    {!invalidate_relation}) and every prefix extension drops all
-    memos. Between
-    mutations a call costs a hash lookup plus the offsets beyond the
-    furthest one already counted (amortized O(1)), so the dozens of
-    probes one plan's bisection makes cost about one scan. The results
-    are the unmemoized ones exactly. On the e2e benchmark's
-    [mixed_cache] workload the memo cut [timecontrol.plan_us] from 522
-    to 116 µs per stage and raised [qps] from 778 to 1210 (medians of
-    10 pairs of runs, docs/CACHING.md). *)
+    a call needs. A memo counts block residency of its own relation
+    only, so only inserting or removing one of that relation's blocks
+    (a store, an eviction, {!invalidate_relation}) drops its memos;
+    summary stores and prefix extensions drop none. Between those a
+    call costs a hash lookup plus the offsets beyond the furthest one
+    already counted (amortized O(1)). The results are the unmemoized
+    ones exactly. On the e2e benchmark's [mixed_cache] workload the
+    memo cut [timecontrol.plan_us] from 522 to 116 µs per stage and
+    raised [qps] from 778 to 1210 (medians of 10 pairs of runs,
+    docs/CACHING.md). [predict_misses t ~file ~kind ~lo ~k] is
+    [misses_from t ~file ~kind ~lo k]. *)
+
+val misses_from : t -> file:Taqp_storage.Heap_file.t -> kind:unit_kind ->
+  lo:int -> int -> int
+(** [misses_from t ~file ~kind ~lo] finds the prefix and the memo at
+    [lo] once and returns [k -> predict_misses t ~file ~kind ~lo ~k]:
+    what a stage planner resolves per scan per planning call, so each
+    bisection probe is an array read. Valid until the cache next
+    changes (any store, eviction, invalidation or draw): do not keep
+    it past the planning call. *)
+
+val memo_count : t -> int
+(** How many miss memos are live, over every relation and unit kind.
+    Read-only, like {!mem_block}: for tests of which changes drop
+    them. *)
 
 (** {2 Blocks} *)
 

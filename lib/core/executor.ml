@@ -45,35 +45,7 @@ type loop_state = {
 let f_floor = 1e-9
 let min_fraction = f_floor
 
-(* The Single-Interval strategy needs sqrt(Var(QCOST)) at a candidate
-   f: delta-method over the per-operator selectivity variances, with
-   numeric gradients (cross-operator covariances approximated as 0 —
-   see DESIGN.md). *)
-let qcost_std staged cost_model ~f =
-  let plans = Staged.plan staged ~f ~mode:Staged.Plain in
-  let base =
-    Cost_model.total cost_model
-      (List.map (fun p -> (p.Staged.plan_id, p.Staged.plan_measures)) plans)
-  in
-  let acc = ref 0.0 in
-  List.iter
-    (fun p ->
-      let open Staged in
-      if p.sel_variance > 0.0 then begin
-        let delta = Float.max 1e-6 (0.01 *. Float.max p.sel_plain 1e-4) in
-        let perturbed =
-          Staged.predicted_cost staged ~f
-            ~mode:(Staged.Override [ (p.plan_op_id, p.sel_plain +. delta) ])
-        in
-        let grad = (perturbed -. base) /. delta in
-        acc := !acc +. (grad *. grad *. p.sel_variance)
-      end)
-    plans;
-  sqrt !acc
-
-let determine_fraction staged cost_model device ~strategy ~budget ~eps
-    ~max_iterations =
-  ignore cost_model;
+let determine_fraction staged device ~strategy ~budget ~eps ~max_iterations =
   (* Planning is paid for up front, at its worst case, so the budget
      handed to the bisection is exactly the time that will remain when
      the stage starts (no hidden safety margin). *)
@@ -82,36 +54,33 @@ let determine_fraction staged cost_model device ~strategy ~budget ~eps
   let budget = budget -. planning in
   if budget <= 0.0 then Sample_size.Budget_too_small { f_min_cost = infinity }
   else
-  let outcome =
+    (* Each strategy's pricers are resolved once here and applied per
+       probe; none outlives this call. *)
     match (strategy : Strategy.t) with
     | Strategy.One_at_a_time { d_beta; zero_beta } ->
         Sample_size.bisect
-          ~cost_at:(fun f ->
-            Staged.predicted_cost staged ~f
-              ~mode:(Staged.Inflated { d_beta; zero_beta }))
+          ~cost_at:
+            (Staged.pricer staged ~mode:(Staged.Inflated { d_beta; zero_beta }))
           ~budget ~f_min:f_floor ~f_max:1.0 ~eps ~max_iterations ()
-    | Strategy.Single_interval { d_alpha; zero_beta } ->
-        ignore zero_beta;
+    | Strategy.Single_interval { d_alpha; zero_beta = _ } ->
+        (* sqrt(Var(QCOST)) by the delta method, cross-operator
+           covariances approximated as 0 — see DESIGN.md *)
         Sample_size.with_deviation
-          ~mean_at:(fun f -> Staged.predicted_cost staged ~f ~mode:Staged.Plain)
-          ~std_at:(fun f -> qcost_std staged cost_model ~f)
-          ~d_alpha ~budget ~f_min:f_floor ~f_max:1.0 ~eps ~max_iterations ()
+          ~mean_at:(Staged.pricer staged ~mode:Staged.Plain)
+          ~std_at:(Staged.qcost_std staged) ~d_alpha ~budget ~f_min:f_floor
+          ~f_max:1.0 ~eps ~max_iterations ()
     | Strategy.Heuristic { split } -> (
-        let stage_budget = split *. budget in
+        let cost_at = Staged.pricer staged ~mode:Staged.Plain in
         let run budget =
-          Sample_size.bisect
-            ~cost_at:(fun f ->
-              Staged.predicted_cost staged ~f ~mode:Staged.Plain)
-            ~budget ~f_min:f_floor ~f_max:1.0 ~eps ~max_iterations ()
+          Sample_size.bisect ~cost_at ~budget ~f_min:f_floor ~f_max:1.0 ~eps
+            ~max_iterations ()
         in
-        match run stage_budget with
+        match run (split *. budget) with
         | Sample_size.Budget_too_small _ ->
             (* The geometric slice is too thin; fall back to the whole
                remaining budget before giving up. *)
             run budget
         | outcome -> outcome)
-  in
-  outcome
 
 let finalize ~staged ~state ~quota ~start ~clock ~io_before ~device
     ~faults_before ~fault_time_before ~forced_degraded ~outcome
@@ -411,8 +380,8 @@ let step h =
         in
         let eps = Float.max 1e-6 (config.bisect_eps_frac *. budget) in
         match
-          determine_fraction staged cost_model device ~strategy:config.strategy
-            ~budget ~eps
+          determine_fraction staged device ~strategy:config.strategy ~budget
+            ~eps
             ~max_iterations:config.max_bisect_iterations
         with
         | exception Clock.Deadline_exceeded _ ->

@@ -28,23 +28,36 @@ let kind h =
    onto this path inserts first, and therefore part of its price. *)
 let unhashed h = (drop h.hashed_l h.b.deltas_l, drop h.hashed_r h.b.deltas_r)
 
-let measures h ~nl ~nr ~out_new =
+(* [catch_up] is [None] under partial fulfillment: a transient
+   per-stage index builds the left delta and probes the right. *)
+type prepared = { catch_up : float option; bf_out : int }
+
+let prepare h =
+  {
+    catch_up =
+      (if h.b.full then begin
+         let miss_l, miss_r = unhashed h in
+         Some (float_of_int (sum_lengths miss_l + sum_lengths miss_r))
+       end
+       else None);
+    bf_out = h.b.bf;
+  }
+
+let measures_of p ~nl ~nr ~out_new =
   let build_tuples, probe_tuples =
-    if h.b.full then begin
-      let miss_l, miss_r = unhashed h in
-      let catch_up = float_of_int (sum_lengths miss_l + sum_lengths miss_r) in
-      (catch_up +. nl +. nr, nl +. nr)
-    end
-    else (* transient per-stage index: build left delta, probe right *)
-      (nl, nr)
+    match p.catch_up with
+    | Some catch_up -> (catch_up +. nl +. nr, nl +. nr)
+    | None -> (nl, nr)
   in
   {
     Formulas.zero_measures with
     Formulas.build_tuples;
     probe_tuples;
     out_tuples = out_new;
-    out_pages = pages ~bf:h.b.bf out_new;
+    out_pages = pages ~bf:p.bf_out out_new;
   }
+
+let measures h ~nl ~nr ~out_new = measures_of (prepare h) ~nl ~nr ~out_new
 
 (* The index is read-only during a probe, so probe ranges may run on
    the pool; outputs concatenate in range order, which is probe order.

@@ -19,13 +19,24 @@ val create : Op_common.binary -> id:int -> t
 val kind : t -> Taqp_timecost.Formulas.op_kind
 (** [Hash_join] or [Hash_intersect]. *)
 
+type prepared
+(** What {!measures} reads of the retained state, read once: the
+    catch-up size under full fulfillment. *)
+
+val prepare : t -> prepared
+
+val measures_of :
+  prepared -> nl:float -> nr:float -> out_new:float ->
+  Taqp_timecost.Formulas.measures
+(** This path's build and probe tuples (catch-up included) and output
+    for a stage adding [nl]/[nr] delta tuples, against the state
+    {!prepare} read. *)
+
 val measures :
   t -> nl:float -> nr:float -> out_new:float ->
   Taqp_timecost.Formulas.measures
-(** This path's build and probe tuples (catch-up included) and output
-    for a stage adding [nl]/[nr] delta tuples, against the retained
-    state before the stage. Called by the planner, the adaptive path
-    choice and {!eval}. *)
+(** [measures_of (prepare h)]: the one formula the planner, the
+    adaptive path choice, the stage pricer and {!eval} all use. *)
 
 val eval :
   Op_common.ctx -> t -> slice_l:Op_common.slice option ->

@@ -41,47 +41,85 @@ let pairings s =
     ~stage:(List.length s.b.deltas_r + 1)
     (if s.b.full then `Full else `Partial)
 
+type prepared = {
+  catch_n : float array;
+  catch_pages : float array;
+  catch_nlogn : float array;
+  old_l : float array;
+  old_r : float array;
+  pair_l : int array;
+  pair_r : int array;
+  bf_l : int;
+  bf_r : int;
+  bf_out : int;
+}
+
 (* Pairing sizes come from the deltas, not the files, because the files
    may lag the deltas under the hash path. *)
-let measures s ~nl ~nr ~out_new =
+let prepare s =
   let missing_l, missing_r = unsorted s in
-  let add_files bf files acc =
-    List.fold_left
-      (fun (ni, tp, nn) file ->
-        let n = float_of_int (Array.length file) in
-        (ni +. n, tp +. pages ~bf n, nn +. xlog n))
-      acc files
+  let catch_up =
+    List.map (fun f -> (s.bf_l, Array.length f)) missing_l
+    @ List.map (fun f -> (s.bf_r, Array.length f)) missing_r
   in
-  let n_input, temp_pages, nlogn =
-    add_files s.bf_r missing_r
-      (add_files s.bf_l missing_l
-         ( nl +. nr,
-           pages ~bf:s.bf_l nl +. pages ~bf:s.bf_r nr,
-           xlog nl +. xlog nr ))
+  let per_file g =
+    Array.of_list (List.map (fun (bf, n) -> g bf (float_of_int n)) catch_up)
   in
-  let sizes deltas n =
-    Array.of_list (List.map Array.length deltas @ [ int_of_float n ])
+  let lengths deltas =
+    Array.of_list (List.map (fun d -> float_of_int (Array.length d)) deltas)
   in
-  let sizes_l = sizes s.b.deltas_l nl and sizes_r = sizes s.b.deltas_r nr in
-  let size_at sizes i =
-    if i <= Array.length sizes then float_of_int sizes.(i - 1) else 0.0
+  let pairings = Array.of_list (pairings s) in
+  {
+    catch_n = per_file (fun _ n -> n);
+    catch_pages = per_file (fun bf n -> pages ~bf n);
+    catch_nlogn = per_file (fun _ n -> xlog n);
+    old_l = lengths s.b.deltas_l;
+    old_r = lengths s.b.deltas_r;
+    pair_l = Array.map fst pairings;
+    pair_r = Array.map snd pairings;
+    bf_l = s.bf_l;
+    bf_r = s.bf_r;
+    bf_out = s.b.bf;
+  }
+
+(* Every sum starts from this stage's (f-dependent) terms and adds the
+   retained ones in the order the catch-up and the pairings list them,
+   so the floats are the same whoever prepared them. Stage [i] of a
+   side is a retained delta, this stage's (whole tuples), or past
+   both. *)
+let measures_of p ~nl ~nr ~out_new =
+  let n_input = ref (nl +. nr)
+  and temp_pages = ref (pages ~bf:p.bf_l nl +. pages ~bf:p.bf_r nr)
+  and nlogn = ref (xlog nl +. xlog nr) in
+  for i = 0 to Array.length p.catch_n - 1 do
+    n_input := !n_input +. p.catch_n.(i);
+    temp_pages := !temp_pages +. p.catch_pages.(i);
+    nlogn := !nlogn +. p.catch_nlogn.(i)
+  done;
+  let[@inline] size_at old n i =
+    if i <= Array.length old then old.(i - 1)
+    else if i = Array.length old + 1 then float_of_int (int_of_float n)
+    else 0.0
   in
-  let pairings = pairings s in
-  let merge_reads =
-    List.fold_left
-      (fun acc (i, j) -> acc +. size_at sizes_l i +. size_at sizes_r j)
-      0.0 pairings
-  in
+  let merge_reads = ref 0.0 in
+  for k = 0 to Array.length p.pair_l - 1 do
+    merge_reads :=
+      !merge_reads
+      +. size_at p.old_l nl p.pair_l.(k)
+      +. size_at p.old_r nr p.pair_r.(k)
+  done;
   {
     Formulas.zero_measures with
-    Formulas.n_input;
-    temp_pages;
-    nlogn;
-    merge_reads;
+    Formulas.n_input = !n_input;
+    temp_pages = !temp_pages;
+    nlogn = !nlogn;
+    merge_reads = !merge_reads;
     out_tuples = out_new;
-    out_pages = pages ~bf:s.b.bf out_new;
-    pairings = float_of_int (List.length pairings);
+    out_pages = pages ~bf:p.bf_out out_new;
+    pairings = float_of_int (Array.length p.pair_l);
   }
+
+let measures s ~nl ~nr ~out_new = measures_of (prepare s) ~nl ~nr ~out_new
 
 let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
   let device = ctx.device and b = s.b in

@@ -23,14 +23,27 @@ val create :
 val kind : t -> Taqp_timecost.Formulas.op_kind
 (** [Join] or [Intersect]: the operator's own cost-model node. *)
 
+type prepared
+(** What {!measures} reads of the retained state, read once: the
+    catch-up deltas' sizes, pages and [n log n] terms, the retained
+    deltas' sizes and this stage's Figure 4.5 pairings. *)
+
+val prepare : t -> prepared
+
+val measures_of :
+  prepared -> nl:float -> nr:float -> out_new:float ->
+  Taqp_timecost.Formulas.measures
+(** This path's cost measures for a stage adding [nl]/[nr] delta
+    tuples and [out_new] output tuples, against the state {!prepare}
+    read: catch-up plus delta writes and sorts, and the pairings' merge
+    reads. Allocates only the result. Every sum starts from this
+    stage's terms and adds the retained ones in list order. *)
+
 val measures :
   t -> nl:float -> nr:float -> out_new:float ->
   Taqp_timecost.Formulas.measures
-(** This path's cost measures for a stage adding [nl]/[nr] delta
-    tuples and [out_new] output tuples, against the retained state
-    before the stage: catch-up plus delta writes and sorts, and the
-    pairings' merge reads. Called by the planner, the adaptive path
-    choice and {!eval}. *)
+(** [measures_of (prepare s)]: the one formula the planner, the
+    adaptive path choice, the stage pricer and {!eval} all use. *)
 
 val eval :
   Op_common.ctx -> id:int -> t -> slice_l:Op_common.slice option ->

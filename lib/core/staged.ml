@@ -508,55 +508,111 @@ let scan_cache t scan =
       None
   | _ -> None
 
-(* Block reads the next stage would actually charge: on the shared
-   prefix the unit identities are known in advance, so cached blocks
-   can be netted out — this is what makes a plan (and the admission
-   price built from it) cover only the *residual* sample a hit leaves
-   to fetch. Off the prefix the units are not knowable before the
-   draw, so every unit is priced as a read. *)
-let predicted_scan_misses t scan ~f =
-  let k = units_for scan ~f in
+(* Block reads the next stage would actually charge, as a function of
+   its unit count: on the shared prefix the unit identities are known
+   in advance, so cached blocks can be netted out — this is what makes
+   a plan (and the admission price built from it) cover only the
+   *residual* sample a hit leaves to fetch. Off the prefix the units
+   are not knowable before the draw, so every unit is priced as a read.
+   Resolved once per planning call: the cache finds its memo here, not
+   per probe. *)
+let scan_misses t scan =
   match scan_cache t scan with
   | Some c ->
-      Cache.predict_misses c ~file:scan.file ~kind:(cache_kind scan)
-        ~lo:(Stage_set.drawn scan.units) ~k
-  | None -> k
+      Cache.misses_from c ~file:scan.file ~kind:(cache_kind scan)
+        ~lo:(Stage_set.drawn scan.units)
+  | None -> Fun.id
+
+let scan_measures blocks =
+  { Formulas.zero_measures with Formulas.blocks = float_of_int blocks }
+
+(* How [mode] sets a node's selectivity, resolved once per planning
+   call: a fixed value under Plain and Override, Sel+ at the stage's
+   point count under Inflated. *)
+type sel_rule = Sel_fixed of float | Sel_inflated of { d_beta : float; zero_beta : float }
+
+let sel_rule node = function
+  | Plain -> Sel_fixed (Selectivity.estimate node.sel)
+  | Override overrides -> (
+      match List.assoc_opt node.id overrides with
+      | Some s -> Sel_fixed s
+      | None -> Sel_fixed (Selectivity.estimate node.sel))
+  | Inflated { d_beta; zero_beta } -> Sel_inflated { d_beta; zero_beta }
+
+let n_remaining node = Float.max 0.0 (node.subtree_points -. node.cum_points)
+
+let sel_at node rule ~m_next =
+  match rule with
+  | Sel_fixed s -> s
+  | Sel_inflated { d_beta; zero_beta } ->
+      Sel_plus.compute node.sel ~d_beta ~zero_beta ~m_next
+        ~n_remaining:(n_remaining node)
+
+let sel_variance node ~m_next =
+  Selectivity.variance_srs node.sel ~m_next ~n_remaining:(n_remaining node)
 
 let choose_sel node ~mode ~m_next =
-  let plain = Selectivity.estimate node.sel in
-  let n_remaining = Float.max 0.0 (node.subtree_points -. node.cum_points) in
-  let variance = Selectivity.variance_srs node.sel ~m_next ~n_remaining in
-  let used =
-    match mode with
-    | Plain -> plain
-    | Override overrides -> (
-        match List.assoc_opt node.id overrides with
-        | Some s -> s
-        | None -> plain)
-    | Inflated { d_beta; zero_beta } ->
-        Sel_plus.compute node.sel ~d_beta ~zero_beta ~m_next ~n_remaining
-  in
-  (used, plain, variance)
+  ( sel_at node (sel_rule node mode) ~m_next,
+    Selectivity.estimate node.sel,
+    sel_variance node ~m_next )
 
-(* Each operator module's [measures] prices its physical path against
-   the retained state *before* this stage's deltas are appended, with
-   [nl]/[nr] the (predicted or actual) delta sizes; planning, the
-   adaptive choice and execution all call it, so all three price the
-   same work. *)
-let choose_path t ~node b ~nl ~nr ~out_guess =
+(* The points a binary operator's next stage adds, from its children's
+   predicted deltas and the outputs they already produced. *)
+let points_new ~full ~nl ~nr ~cum_l ~cum_r =
+  if full then (nl *. (cum_r +. nr)) +. (cum_l *. nr) else nl *. nr
+
+(* One physical path of a binary operator, priced against the retained
+   state before the stage: its cost-model node (the operator's own id
+   for sort-merge, its hash-path id for hash) with the coefficients
+   resolved, and its module's measures over the prepared state. Each
+   module's [measures] is its [measures_of] after its [prepare], so
+   planning, the adaptive choice, the pricer and execution all price
+   the same work. *)
+type path = {
+  path : [ `Sort | `Hash ];
+  path_id : int;
+  path_kind : Formulas.op_kind;
+  path_cm : Cost_model.resolved;
+  path_measures : nl:float -> nr:float -> out_new:float -> Formulas.measures;
+}
+
+type paths = Fixed of path | Adaptive of { sort : path; hash : path }
+
+let paths t node b =
+  let sort () =
+    {
+      path = `Sort;
+      path_id = node.id;
+      path_kind = Op_sort_merge.kind b.sort;
+      path_cm = Cost_model.resolve t.cost_model ~id:node.id;
+      path_measures = Op_sort_merge.measures_of (Op_sort_merge.prepare b.sort);
+    }
+  and hash () =
+    {
+      path = `Hash;
+      path_id = b.hash.id;
+      path_kind = Op_hash.kind b.hash;
+      path_cm = Cost_model.resolve t.cost_model ~id:b.hash.id;
+      path_measures = Op_hash.measures_of (Op_hash.prepare b.hash);
+    }
+  in
   match t.config.physical with
-  | Config.Sort_merge -> `Sort
-  | Config.Hash -> `Hash
-  | Config.Adaptive ->
-      let sort_cost =
-        Cost_model.predict t.cost_model ~id:node.id
-          (Op_sort_merge.measures b.sort ~nl ~nr ~out_new:out_guess)
-      in
-      let hash_cost =
-        Cost_model.predict t.cost_model ~id:b.hash.id
-          (Op_hash.measures b.hash ~nl ~nr ~out_new:out_guess)
-      in
-      if hash_cost < sort_cost then `Hash else `Sort
+  | Config.Sort_merge -> Fixed (sort ())
+  | Config.Hash -> Fixed (hash ())
+  | Config.Adaptive -> Adaptive { sort = sort (); hash = hash () }
+
+let path_cost p ~nl ~nr ~out_new =
+  Cost_model.apply p.path_cm (p.path_measures ~nl ~nr ~out_new)
+
+(* The path that will run: under [Adaptive], whichever the fitted cost
+   model predicts cheaper, including any catch-up cost of switching. *)
+let choose_path paths ~nl ~nr ~out_guess =
+  match paths with
+  | Fixed p -> p
+  | Adaptive { sort; hash } ->
+      let sort_cost = path_cost sort ~nl ~nr ~out_new:out_guess in
+      let hash_cost = path_cost hash ~nl ~nr ~out_new:out_guess in
+      if hash_cost < sort_cost then hash else sort
 
 (* Scans and the overhead node pass [(1.0, 1.0, 0.0)]: no selectivity. *)
 let plan_entry ~op_id ?(plan_id = op_id) plan_kind plan_measures
@@ -585,25 +641,17 @@ let rec plan_node t ~f ~mode node : node_plan list * float * float =
   | Binary_node b ->
       let plans_l, nl, cum_l = plan_node t ~f ~mode b.left in
       let plans_r, nr, cum_r = plan_node t ~f ~mode b.right in
-      let points_new =
-        if b.shared.full then (nl *. (cum_r +. nr)) +. (cum_l *. nr)
-        else nl *. nr
-      in
+      let points_new = points_new ~full:b.shared.full ~nl ~nr ~cum_l ~cum_r in
       let ((sel_used, _, _) as sel) = choose_sel node ~mode ~m_next:points_new in
       let out_new = sel_used *. points_new in
       (* Price whichever physical path will run: the plan entry carries
          that path's cost-model id, kind and measures, so QCOST and the
          executor's gradients see the work the stage will actually do. *)
+      let p = choose_path (paths t node b) ~nl ~nr ~out_guess:out_new in
       let entry =
-        match choose_path t ~node b ~nl ~nr ~out_guess:out_new with
-        | `Sort ->
-            plan_entry ~op_id:node.id (Op_sort_merge.kind b.sort)
-              (Op_sort_merge.measures b.sort ~nl ~nr ~out_new)
-              sel
-        | `Hash ->
-            plan_entry ~op_id:node.id ~plan_id:b.hash.id (Op_hash.kind b.hash)
-              (Op_hash.measures b.hash ~nl ~nr ~out_new)
-              sel
+        plan_entry ~op_id:node.id ~plan_id:p.path_id p.path_kind
+          (p.path_measures ~nl ~nr ~out_new)
+          sel
       in
       (plans_l @ plans_r @ [ entry ], out_new, node.cum_out)
 
@@ -615,16 +663,16 @@ and plan_unary t ~f ~mode node child kind measures =
     out,
     node.cum_out )
 
+let check_fraction f =
+  if f <= 0.0 || f > 1.0 then invalid_arg "Staged.plan: f outside (0,1]"
+
 let plan t ~f ~mode =
-  if f <= 0.0 || f > 1.0 then invalid_arg "Staged.plan: f outside (0,1]";
+  check_fraction f;
   let scan_plans =
     List.map
       (fun scan ->
         plan_entry ~op_id:scan.scan_id Formulas.Scan
-          {
-            Formulas.zero_measures with
-            Formulas.blocks = float_of_int (predicted_scan_misses t scan ~f);
-          }
+          (scan_measures (scan_misses t scan (units_for scan ~f)))
           (1.0, 1.0, 0.0))
       t.scans
   in
@@ -641,9 +689,173 @@ let plan t ~f ~mode =
         (1.0, 1.0, 0.0);
     ]
 
-let predicted_cost t ~f ~mode =
-  Cost_model.total t.cost_model
-    (List.map (fun p -> (p.plan_id, p.plan_measures)) (plan t ~f ~mode))
+(* ------------------------------------------------------------------ *)
+(* The stage pricer
+
+   Sample-Size-Determine prices dozens of fractions against one
+   unchanging state. A pricer resolves once what [plan] derives from
+   that state — coefficients, each operator module's prepared retained
+   state, selectivity rules, each scan's miss handle — and then prices
+   f without building entries: every float expression that involves f
+   is [plan]'s, and the node costs are summed in plan order, so a
+   pricer is [Cost_model.total] over [plan] bit for bit. A pricer must
+   not outlive the planning call that built it: the next stage (or
+   another job's) moves the state it resolved. *)
+
+type priced = {
+  pnode : node;
+  rule : sel_rule;
+  cum : float;  (* the output a full-fulfillment parent pairs with *)
+  pkind : priced_kind;
+  mutable out : float;  (* predicted new output tuples at the last f *)
+  mutable m_next : float;  (* the points the selectivity applied to *)
+}
+
+and priced_kind =
+  | P_leaf of scan
+  | P_unary of {
+      child : priced;
+      cm : Cost_model.resolved;
+      measures : n_in:float -> out:float -> Formulas.measures;
+    }
+  | P_binary of { left : priced; right : priced; full : bool; paths : paths }
+
+let rec priced t ~mode node =
+  let unary child measures =
+    P_unary
+      {
+        child = priced t ~mode child;
+        cm = Cost_model.resolve t.cost_model ~id:node.id;
+        measures;
+      }
+  in
+  let pkind, cum =
+    match node.kind with
+    | Leaf scan -> (P_leaf scan, float_of_int scan.drawn_tuples)
+    | Select_node { select; child } ->
+        (unary child (Op_select.measures select), node.cum_out)
+    | Project_node { project; child } ->
+        (unary child (Op_project.measures project), node.cum_out)
+    | Binary_node b ->
+        ( P_binary
+            {
+              left = priced t ~mode b.left;
+              right = priced t ~mode b.right;
+              full = b.shared.full;
+              paths = paths t node b;
+            },
+          node.cum_out )
+  in
+  { pnode = node; rule = sel_rule node mode; cum; pkind; out = 0.0; m_next = 0.0 }
+
+(* A flat float record: adding to it allocates nothing. *)
+type total = { mutable sum : float }
+
+(* [plan_node]'s walk, adding each entry's cost to [acc] in entry
+   order instead of listing the entry. *)
+let rec price_node acc p ~f =
+  match p.pkind with
+  | P_leaf scan -> p.out <- float_of_int (predicted_new_tuples scan ~f)
+  | P_unary u ->
+      price_node acc u.child ~f;
+      let n_new = u.child.out in
+      let out = sel_at p.pnode p.rule ~m_next:n_new *. n_new in
+      acc.sum <- acc.sum +. Cost_model.apply u.cm (u.measures ~n_in:n_new ~out);
+      p.m_next <- n_new;
+      p.out <- out
+  | P_binary b ->
+      price_node acc b.left ~f;
+      price_node acc b.right ~f;
+      let nl = b.left.out and nr = b.right.out in
+      let points_new =
+        points_new ~full:b.full ~nl ~nr ~cum_l:b.left.cum ~cum_r:b.right.cum
+      in
+      let out_new = sel_at p.pnode p.rule ~m_next:points_new *. points_new in
+      let path = choose_path b.paths ~nl ~nr ~out_guess:out_new in
+      acc.sum <- acc.sum +. path_cost path ~nl ~nr ~out_new;
+      p.m_next <- points_new;
+      p.out <- out_new
+
+type resolved_plan = {
+  scan_costs : (scan * (int -> int) * Cost_model.resolved) array;
+  roots : priced array;
+  overhead : float;  (* the Overhead entry's cost: it has no measures *)
+  acc : total;
+}
+
+let resolve_plan t ~mode =
+  {
+    scan_costs =
+      Array.of_list
+        (List.map
+           (fun scan ->
+             ( scan,
+               scan_misses t scan,
+               Cost_model.resolve t.cost_model ~id:scan.scan_id ))
+           t.scans);
+    roots = Array.of_list (List.map (fun term -> priced t ~mode term.root) t.terms);
+    overhead =
+      Cost_model.predict t.cost_model ~id:t.overhead_id Formulas.zero_measures;
+    acc = { sum = 0.0 };
+  }
+
+let price r f =
+  check_fraction f;
+  let acc = r.acc in
+  acc.sum <- 0.0;
+  for i = 0 to Array.length r.scan_costs - 1 do
+    let scan, misses, cm = r.scan_costs.(i) in
+    acc.sum <-
+      acc.sum +. Cost_model.apply cm (scan_measures (misses (units_for scan ~f)))
+  done;
+  for i = 0 to Array.length r.roots - 1 do
+    price_node acc r.roots.(i) ~f
+  done;
+  acc.sum +. r.overhead
+
+let pricer t ~mode =
+  let r = resolve_plan t ~mode in
+  fun f -> price r f
+
+let predicted_cost t ~f ~mode = pricer t ~mode f
+
+(* The operator nodes in plan order: children's entries first, left
+   before right, then the node's own. *)
+let rec plan_order p =
+  match p.pkind with
+  | P_leaf _ -> []
+  | P_unary u -> plan_order u.child @ [ p ]
+  | P_binary b -> plan_order b.left @ plan_order b.right @ [ p ]
+
+(* Delta method over the operators' selectivity variances, with
+   numeric gradients: each operator's nudged selectivity depends only
+   on its plain estimate, so its [Override] pricer is resolved once
+   (on first need) and reused at every f. *)
+let qcost_std t =
+  let base = resolve_plan t ~mode:Plain in
+  let ops =
+    List.map
+      (fun p ->
+        let sel_plain = Selectivity.estimate p.pnode.sel in
+        let delta = Float.max 1e-6 (0.01 *. Float.max sel_plain 1e-4) in
+        ( p,
+          delta,
+          lazy (pricer t ~mode:(Override [ (p.pnode.id, sel_plain +. delta) ]))
+        ))
+      (List.concat_map plan_order (Array.to_list base.roots))
+  in
+  fun f ->
+    let cost = price base f in
+    let acc = ref 0.0 in
+    List.iter
+      (fun (p, delta, perturbed) ->
+        let variance = sel_variance p.pnode ~m_next:p.m_next in
+        if variance > 0.0 then begin
+          let grad = (Lazy.force perturbed f -. cost) /. delta in
+          acc := !acc +. (grad *. grad *. variance)
+        end)
+      ops;
+    sqrt !acc
 
 (* ------------------------------------------------------------------ *)
 (* Stage execution                                                     *)
@@ -742,11 +954,7 @@ let draw_and_scan t device ~f =
            a cached run both the plan and the observation count only
            the residual reads a hit leaves to pay. *)
         Cost_model.observe_step t.cost_model ~id:scan.scan_id
-          ~step:Formulas.Step_read
-          {
-            Formulas.zero_measures with
-            Formulas.blocks = float_of_int misses;
-          }
+          ~step:Formulas.Step_read (scan_measures misses)
           ~seconds:(Device.measure device (t1 -. t0));
         Some (scan.relation, List.length unit_ids)
       end)
@@ -857,7 +1065,7 @@ and eval_op t ctx node : Tuple.t array =
       in
       let slice_l = leaf_slice t b.left delta_l in
       let out =
-        match choose_path t ~node b ~nl ~nr ~out_guess with
+        match (choose_path (paths t node b) ~nl ~nr ~out_guess).path with
         | `Sort ->
             Op_sort_merge.eval ctx ~id:node.id b.sort ~slice_l
               ~slice_r:(leaf_slice t b.right delta_r)

@@ -7,8 +7,9 @@
     {!Taqp_sampling.Stage_set} per base relation.
 
     The two halves of the interface mirror the two halves of each
-    stage in Figure 3.1: {!plan} is the pure cost-prediction used by
-    Sample-Size-Determine (called once per bisection probe), and
+    stage in Figure 3.1: {!pricer} is the pure cost-prediction used by
+    Sample-Size-Determine (resolved once per stage, applied once per
+    bisection probe; {!plan} lists the same prediction per node), and
     {!run_stage} draws the new sample units, evaluates all terms
     incrementally under the configured fulfillment plan, feeds the
     observed selectivities and step timings back, and returns the
@@ -101,8 +102,29 @@ val plan : t -> f:float -> mode:sel_mode -> node_plan list
     physical path never changes the estimate, only the cost.
     @raise Invalid_argument for [f] outside (0, 1]. *)
 
+val pricer : t -> mode:sel_mode -> float -> float
+(** [pricer t ~mode] resolves once every input of {!plan} that does not
+    depend on the fraction — the nodes' cost-model coefficients, each
+    operator module's prepared retained state, the selectivity rule,
+    each scan's cache miss handle — and returns [f -> QCOST]: the
+    cost-model total over [plan t ~f ~mode], bit for bit, without
+    building a plan. Every float expression involving [f] is [plan]'s,
+    in its order, and the node costs are summed in plan order.
+
+    The closure reads the state as of the call: use it within one
+    planning call, before the next stage (of this or any job sharing
+    the cache) runs.
+    @raise Invalid_argument (on application) for [f] outside (0, 1]. *)
+
 val predicted_cost : t -> f:float -> mode:sel_mode -> float
-(** QCOST: the cost-model total over {!plan}. *)
+(** QCOST: one application of {!pricer}. *)
+
+val qcost_std : t -> float -> float
+(** The Single-Interval strategy's [sqrt Var(QCOST)] at [f]: the delta
+    method over the operators' selectivity variances at that stage
+    size, with numeric gradients from {!pricer}s that override one
+    operator's selectivity (cross-operator covariances taken as 0).
+    Resolved once like {!pricer}, with the same lifetime. *)
 
 val op_ids : t -> int list
 (** Ids of RA operator nodes (excluding scans, overhead and the binary

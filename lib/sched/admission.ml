@@ -96,14 +96,14 @@ let price_confidence ~device staged ~(config : Config.t) ~target =
        ~f:(confidence_fraction staged ~config ~target)
        ~mode:Staged.Plain
 
-let evaluate t ?cache ~device ~now ~backlog ~queue_len job =
+let evaluate t ~staged ~device ~now ~backlog ~queue_len job =
   let slack = Job.slack job ~now in
   if slack <= 0.0 then Reject Zero_slack
   else
     match t.max_queue with
     | Some limit when queue_len >= limit -> Reject (Queue_full { limit })
     | _ ->
-        let staged = compile_for_pricing ?cache ~job () in
+        let staged = Lazy.force staged in
         let config = job.Job.config in
         let min_cost = price_min_stage ~device staged ~config in
         let available = slack -. backlog in

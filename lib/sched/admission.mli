@@ -57,7 +57,7 @@ val price_min_stage :
 
 val evaluate :
   t ->
-  ?cache:Taqp_cache.Cache.t ->
+  staged:Taqp_core.Staged.t Lazy.t ->
   device:Taqp_storage.Device.t ->
   now:float ->
   backlog:float ->
@@ -65,6 +65,7 @@ val evaluate :
   Job.t ->
   decision
 (** [backlog] is the reserved minimum work (seconds) of already
-    admitted, unfinished jobs; [queue_len] their count. [cache] prices
-    against the shared cache's current contents (see
-    {!compile_for_pricing}). *)
+    admitted, unfinished jobs; [queue_len] their count. [staged] is the
+    job's {!compile_for_pricing} (with the shared cache, when there is
+    one, so the price reflects its current contents), forced only once
+    the slack and queue checks pass. *)

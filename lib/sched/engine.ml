@@ -313,11 +313,16 @@ let admit_arrivals t now =
     | j :: rest when j.Job.arrival <= now ->
         t.pending <- rest;
         Metrics.Counter.incr t.c_submitted;
+        (* One pricing compilation serves admission and the reserve:
+           nothing between them touches the cache or the device. *)
+        let staged =
+          lazy (Admission.compile_for_pricing ?cache:t.cache ~job:j ())
+        in
         let decision =
           match t.admission with
           | None -> Admission.Accept { quota = Job.slack j ~now }
           | Some a ->
-              Admission.evaluate a ?cache:t.cache ~device:t.device ~now
+              Admission.evaluate a ~staged ~device:t.device ~now
                 ~backlog:(backlog t)
                 ~queue_len:(List.length t.live)
                 j
@@ -369,10 +374,7 @@ let admit_arrivals t now =
                    a_now = now;
                  });
             let reserved =
-              let staged =
-                Admission.compile_for_pricing ?cache:t.cache ~job:j ()
-              in
-              Admission.price_min_stage ~device:t.device staged
+              Admission.price_min_stage ~device:t.device (Lazy.force staged)
                 ~config:j.Job.config
             in
             t.seq <- t.seq + 1;
@@ -397,10 +399,12 @@ let admit_arrivals t now =
   in
   go ()
 
+(* Laxity prices a plan: it stays unforced unless the policy reads it.
+   Pricing is pure, so when (or whether) it runs changes no charge. *)
 let candidates t now =
   List.map
     (fun l ->
-      let next_cost =
+      let next_cost () =
         match l.l_handle with
         | Some h -> Executor.min_stage_cost h
         | None -> l.l_reserved
@@ -409,7 +413,7 @@ let candidates t now =
         Policy.key = l.l_seq;
         seq = l.l_seq;
         deadline = l.l_job.Job.deadline;
-        laxity = l.l_job.Job.deadline -. now -. next_cost;
+        laxity = lazy (l.l_job.Job.deadline -. now -. next_cost ());
         service = l.l_service;
         weight = float_of_int l.l_job.Job.priority;
       })

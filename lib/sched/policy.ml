@@ -22,7 +22,7 @@ type candidate = {
   key : int;
   seq : int;
   deadline : float;
-  laxity : float;
+  laxity : float Lazy.t;
   service : float;
   weight : float;
 }
@@ -34,7 +34,7 @@ let score t c =
   match t with
   | Fifo -> float_of_int c.seq
   | Edf -> c.deadline
-  | Least_laxity -> c.laxity
+  | Least_laxity -> Lazy.force c.laxity
   | Weighted_fair -> c.service /. c.weight
 
 let select t = function

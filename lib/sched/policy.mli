@@ -25,7 +25,9 @@ type candidate = {
   key : int;  (** scheduler-internal identifier, returned by selection *)
   seq : int;  (** admission order; FIFO's key and every tie-break *)
   deadline : float;  (** absolute *)
-  laxity : float;  (** [deadline - now - min_stage_cost] *)
+  laxity : float Lazy.t;
+      (** [deadline - now - min_stage_cost]: priced only if the policy
+          reads it (least laxity) *)
   service : float;  (** device seconds consumed so far *)
   weight : float;  (** priority as a float, [>= 1] *)
 }

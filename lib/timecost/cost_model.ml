@@ -65,18 +65,27 @@ let kind t ~id = (node t id).kind
 let ids t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [])
 
-let predict_step t ~id ~step measures =
-  let s = step_model t id step in
-  Float.max 0.0 (Least_squares.predict s.model (Formulas.step_features step measures))
+type resolved = { r_steps : Formulas.step array; r_coefs : float array array }
 
-let predict t ~id measures =
-  List.fold_left
-    (fun acc s ->
-      acc
-      +. Float.max 0.0
-           (Least_squares.predict s.model
-              (Formulas.step_features s.step measures)))
-    0.0 (node t id).steps
+let resolve t ~id =
+  let steps = (node t id).steps in
+  {
+    r_steps = Array.of_list (List.map (fun s -> s.step) steps);
+    r_coefs =
+      Array.of_list (List.map (fun s -> Least_squares.coefficients s.model) steps);
+  }
+
+(* Each step's prediction, clamped, summed from 0.0 in step order. *)
+let apply r measures =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length r.r_steps - 1 do
+    acc :=
+      !acc
+      +. Float.max 0.0 (Formulas.step_predict r.r_steps.(i) r.r_coefs.(i) measures)
+  done;
+  !acc
+
+let predict t ~id measures = apply (resolve t ~id) measures
 
 let observe_step t ~id ~step measures ~seconds =
   (* Drift observation happens before the fit updates, so [predicted]
@@ -102,9 +111,6 @@ let observe_step t ~id ~step measures ~seconds =
     end;
     Least_squares.observe s.model ~x ~y:seconds
   end
-
-let step_coefficients t ~id ~step =
-  Least_squares.coefficients (step_model t id step).model
 
 let total t plan =
   List.fold_left (fun acc (id, m) -> acc +. predict t ~id m) 0.0 plan

@@ -24,9 +24,21 @@ val ids : t -> int list
 
 val predict : t -> id:int -> Formulas.measures -> float
 (** Predicted seconds for the node on one stage's measures: the sum of
-    its steps' predictions (each >= 0). *)
+    its steps' predictions (each >= 0). [apply (resolve t ~id)]. *)
 
-val predict_step : t -> id:int -> step:Formulas.step -> Formulas.measures -> float
+type resolved
+(** One node's steps with their fitted coefficients, copied out of the
+    model: what {!predict} looks up, resolved once. *)
+
+val resolve : t -> id:int -> resolved
+(** The node's coefficients as of now. A later {!observe_step} or
+    {!restore} does not reach a [resolved] taken before it, so a planner
+    resolves once per planning call and drops it before the stage
+    runs. @raise Invalid_argument for an unregistered id. *)
+
+val apply : resolved -> Formulas.measures -> float
+(** {!predict} on resolved coefficients, bit for bit: no lookup, no
+    copy, no feature array. *)
 
 val observe_step :
   t -> id:int -> step:Formulas.step -> Formulas.measures -> seconds:float -> unit
@@ -44,8 +56,6 @@ val set_observer :
     updates — the predicted-vs-actual pair a calibration monitor needs.
     Fires whether or not the model is adaptive. Purely observational:
     registering one never changes a prediction, a fit, or any charge. *)
-
-val step_coefficients : t -> id:int -> step:Formulas.step -> float array
 
 val total : t -> (int * Formulas.measures) list -> float
 (** Sum of predictions — QCOST for a stage plan. *)

@@ -57,19 +57,40 @@ let steps = function
   | Project -> [ Step_write_temp; Step_sort; Step_check; Step_output ]
   | Overhead -> [ Step_fixed ]
 
-let step_features step m =
-  match step with
-  | Step_read -> [| m.blocks; 1.0 |]
-  | Step_check -> [| m.n_input; m.n_input *. m.comparisons |]
-  | Step_write_temp -> [| m.n_input; m.temp_pages |]
-  | Step_sort -> [| m.nlogn; m.n_input |]
-  | Step_merge -> [| m.merge_reads; m.pairings |]
-  | Step_hash_build -> [| m.build_tuples; 1.0 |]
-  | Step_hash_probe -> [| m.probe_tuples; m.out_tuples |]
-  | Step_output -> [| m.out_tuples; m.out_pages |]
-  | Step_fixed -> [| 1.0 |]
+(* The one definition of every step's features: feature [i] of [step]
+   on [m]. Inlined into [step_predict], so a prediction boxes no
+   feature. *)
+let[@inline] feature step m i =
+  match (step, i) with
+  | Step_read, 0 -> m.blocks
+  | Step_read, _ -> 1.0
+  | Step_check, 0 -> m.n_input
+  | Step_check, _ -> m.n_input *. m.comparisons
+  | Step_write_temp, 0 -> m.n_input
+  | Step_write_temp, _ -> m.temp_pages
+  | Step_sort, 0 -> m.nlogn
+  | Step_sort, _ -> m.n_input
+  | Step_merge, 0 -> m.merge_reads
+  | Step_merge, _ -> m.pairings
+  | Step_hash_build, 0 -> m.build_tuples
+  | Step_hash_build, _ -> 1.0
+  | Step_hash_probe, 0 -> m.probe_tuples
+  | Step_hash_probe, _ -> m.out_tuples
+  | Step_output, 0 -> m.out_tuples
+  | Step_output, _ -> m.out_pages
+  | Step_fixed, _ -> 1.0
 
-let step_dim step = Array.length (step_features step zero_measures)
+let step_dim = function Step_fixed -> 1 | _ -> 2
+let step_features step m = Array.init (step_dim step) (feature step m)
+
+(* [Least_squares.predict]'s sum, term for term in its order, without
+   building the feature array. *)
+let step_predict step (c : float array) m =
+  let acc = ref 0.0 in
+  for i = 0 to step_dim step - 1 do
+    acc := !acc +. (c.(i) *. feature step m i)
+  done;
+  !acc
 
 (* Designer constants, per Section 5 calibrated against the largest
    tuples (1 KB) and richest formulas the prototype supports - i.e.

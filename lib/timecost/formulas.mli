@@ -72,6 +72,12 @@ val steps : op_kind -> step list
 val step_features : step -> measures -> float array
 val step_dim : step -> int
 
+val step_predict : step -> float array -> measures -> float
+(** [step_predict step c m]: the linear prediction [sum_i c.(i) *.
+    x.(i)] over [step_features step m], summed in index order from 0.0
+    exactly as {!Taqp_stats.Least_squares.predict} does, so the two are
+    bit-identical — without allocating the feature array. *)
+
 val step_initial : step -> float array
 (** Designer initial coefficients — per Section 5 deliberately
     calibrated on the largest tuples and richest formulas the

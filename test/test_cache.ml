@@ -322,6 +322,47 @@ let test_predict_misses_read_only () =
     (Heap_file.n_blocks file - 1)
     (Cache.predict_misses cache ~file ~kind:Cache.Tuples ~lo:0 ~k:n)
 
+(* A memo counts block residency of its own relation only: a sorted-run
+   store, a prefix extension or another relation's block store leaves
+   it in place (and it still answers what a cold cache does); a block
+   store of its relation drops it, and so does an invalidation of a
+   relation with nothing stored. *)
+let test_memo_drops_are_scoped () =
+  let wl = Lazy.force join in
+  let r1 = Catalog.find wl.Paper_setup.catalog "r1"
+  and r2 = Catalog.find wl.Paper_setup.catalog "r2" in
+  let history c =
+    ignore (Cache.prefix_units c ~file:r1 ~kind:Cache.Blocks ~lo:0 ~k:8);
+    ignore (Cache.prefix_units c ~file:r1 ~kind:Cache.Tuples ~lo:0 ~k:8)
+  in
+  let cache = Cache.create ~budget_mb:8.0 ~seed:0 () in
+  history cache;
+  let predict c = Cache.predict_misses c ~file:r1 ~kind:Cache.Blocks ~lo:2 ~k:6 in
+  ignore (predict cache);
+  ignore (Cache.predict_misses cache ~file:r1 ~kind:Cache.Tuples ~lo:0 ~k:8);
+  checki "one memo per (kind, lo)" 2 (Cache.memo_count cache);
+  let block0 = Heap_file.block r1 0 in
+  Cache.store_sorted_run cache ~file:r1 ~kind:Cache.Tuples ~lo:0 ~hi:8
+    ~key:[| 0 |] ~cost:0.02 block0;
+  checki "a sorted-run store keeps them" 2 (Cache.memo_count cache);
+  ignore (Cache.prefix_units cache ~file:r1 ~kind:Cache.Blocks ~lo:8 ~k:4);
+  checki "a prefix extension keeps them" 2 (Cache.memo_count cache);
+  Cache.store_block cache ~file:r2 0 ~cost:0.01 (Heap_file.block r2 0);
+  checki "another relation's block keeps them" 2 (Cache.memo_count cache);
+  let cold = Cache.create ~budget_mb:8.0 ~seed:0 () in
+  history cold;
+  checki "a kept memo answers as a cold cache" (predict cold) (predict cache);
+  let u = List.hd (Cache.prefix_units cache ~file:r1 ~kind:Cache.Blocks ~lo:2 ~k:1) in
+  Cache.store_block cache ~file:r1 u ~cost:0.01 (Heap_file.block r1 u);
+  checki "its relation's block drops them" 0 (Cache.memo_count cache);
+  checki "the block is no longer a miss" (predict cold - 1) (predict cache);
+  let fresh = Cache.create ~budget_mb:8.0 ~seed:0 () in
+  ignore (Cache.prefix_units fresh ~file:r2 ~kind:Cache.Blocks ~lo:0 ~k:3);
+  ignore (Cache.predict_misses fresh ~file:r2 ~kind:Cache.Blocks ~lo:0 ~k:3);
+  checki "a memo before invalidation" 1 (Cache.memo_count fresh);
+  Cache.invalidate_relation fresh r2;
+  checki "invalidation drops it with nothing stored" 0 (Cache.memo_count fresh)
+
 (* ------------------------------------------------------------------ *)
 (* Memoized prediction: after any history of cache mutations, a memo
    kept warm by a prediction at every step answers exactly what a cold
@@ -767,6 +808,8 @@ let () =
         [
           Alcotest.test_case "predict_misses is read-only" `Quick
             test_predict_misses_read_only;
+          Alcotest.test_case "memo drops are scoped" `Quick
+            test_memo_drops_are_scoped;
           QCheck_alcotest.to_alcotest prop_warm_memo_equals_cold;
         ] );
     ]

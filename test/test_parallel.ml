@@ -79,9 +79,12 @@ let full_run ~domains ~physical ~seed ~quota (wl : Paper_setup.t) =
       ~catalog:wl.Paper_setup.catalog ~rng ~quota wl.Paper_setup.query
   in
   Tracer.close tracer;
-  (fingerprint report, events (), Ledger.reconcile ~quota ledger)
+  ( fingerprint report,
+    events (),
+    Ledger.reconcile ~quota ledger,
+    report.Report.stages_completed )
 
-let check_same_run ~ctx (fp1, tr1, rec1) (fpn, trn, recn) =
+let check_same_run ~ctx (fp1, tr1, rec1, _) (fpn, trn, recn, _) =
   checks (ctx ^ ": report fingerprint") fp1 fpn;
   checki (ctx ^ ": trace length") (List.length tr1) (List.length trn);
   checkb (ctx ^ ": trace stream") true
@@ -100,7 +103,9 @@ let check_same_run ~ctx (fp1, tr1, rec1) (fpn, trn, recn) =
     rec1.Ledger.r_by_category recn.Ledger.r_by_category
 
 (* The three standard fixtures, sized so several stages run and the
-   binary paths accumulate real pairing/probe work. *)
+   binary paths accumulate real pairing/probe work. The matrix asserts
+   that every cell runs a stage: a run that stops after planning
+   compares nothing. *)
 let matrix_fixtures seed =
   [
     ("join", Paper_setup.join ~spec:(Fixtures.spec ()) ~seed (), 2.0);
@@ -111,7 +116,7 @@ let matrix_fixtures seed =
       Paper_setup.three_way_join
         ~spec:(Fixtures.spec ~n_tuples:200 ())
         ~group_size:3 ~seed (),
-      2.5 );
+      30.0 );
   ]
 
 let test_identity_matrix () =
@@ -126,7 +131,13 @@ let test_identity_matrix () =
             (fun physical ->
               List.iter
                 (fun (fname, wl, quota) ->
-                  let base = full_run ~domains:1 ~physical ~seed ~quota wl in
+                  let ((_, _, _, stages) as base) =
+                    full_run ~domains:1 ~physical ~seed ~quota wl
+                  in
+                  checkb
+                    (Fmt.str "%s/%s/seed=%d: runs a stage" fname
+                       (physical_name physical) seed)
+                    true (stages > 0);
                   List.iter
                     (fun domains ->
                       if domains > 1 then
@@ -175,8 +186,8 @@ let cached_jobs ~domains ~physical ~fulfillment ~budget_mb ~quota
   Tracer.close tracer;
   (String.concat "\n" fingerprints, events (), Cache.stats cache)
 
-(* The matrix fixtures at quotas where every job runs stages (at the
-   matrix's 2.5 s, three_way_join runs none). *)
+(* The matrix fixtures at quotas where every job of three in turn runs
+   stages. *)
 let cached_fixtures () =
   List.map2
     (fun (name, wl, _) quota -> (name, wl, quota))

@@ -792,6 +792,232 @@ let prop_generated_queries =
                    physicals)
             gen_queries))
 
+(* ------------------------------------------------------------------ *)
+(* The stage pricer against the plans it replaces                      *)
+
+module Cache = Taqp_cache.Cache
+module Sample_size = Taqp_timecontrol.Sample_size
+module Plan = Taqp_sampling.Plan
+
+let bits = Int64.bits_of_float
+
+(* QCOST the way the bisection priced it before the pricer: one plan
+   per probe, summed by the cost model. *)
+let plan_cost staged cm ~f ~mode =
+  Cost_model.total cm
+    (List.map
+       (fun p -> (p.Staged.plan_id, p.Staged.plan_measures))
+       (Staged.plan staged ~f ~mode))
+
+(* Single-Interval's deviation the same way: an Override plan per
+   operator entry with positive variance. *)
+let plan_qcost_std staged cm ~f =
+  let plans = Staged.plan staged ~f ~mode:Staged.Plain in
+  let base = plan_cost staged cm ~f ~mode:Staged.Plain in
+  let acc = ref 0.0 in
+  List.iter
+    (fun p ->
+      if p.Staged.sel_variance > 0.0 then begin
+        let delta = Float.max 1e-6 (0.01 *. Float.max p.Staged.sel_plain 1e-4) in
+        let perturbed =
+          plan_cost staged cm ~f
+            ~mode:
+              (Staged.Override [ (p.Staged.plan_op_id, p.Staged.sel_plain +. delta) ])
+        in
+        let grad = (perturbed -. base) /. delta in
+        acc := !acc +. (grad *. grad *. p.Staged.sel_variance)
+      end)
+    plans;
+  sqrt !acc
+
+type pricer_case = {
+  input : [ `Fixture of int | `Generated of Value.ty * (Value.t * int) list list * int ];
+  stages : int;
+  stage_f : float;
+  physical : Config.physical_operator;
+  full : bool;
+  cached : bool;
+  mode : [ `Plain | `Inflated of float | `Override of int * float ];
+  fs : float list;
+}
+
+let pricer_fixtures =
+  lazy
+    [|
+      Paper_setup.join ~spec:(Fixtures.spec ()) ~seed:2 ();
+      Paper_setup.intersection ~spec:(Fixtures.spec ()) ~overlap:120 ~seed:2 ();
+      Paper_setup.three_way_join
+        ~spec:(Fixtures.spec ~n_tuples:200 ())
+        ~group_size:3 ~seed:2 ();
+    |]
+
+let gen_pricer_case =
+  QCheck.Gen.(
+    let input =
+      frequency
+        [
+          (2, map (fun i -> `Fixture i) (int_range 0 2));
+          ( 1,
+            map2
+              (fun (ty, rels) q -> `Generated (ty, rels, q))
+              gen_catalog_gen
+              (int_range 0 (List.length gen_queries - 1)) );
+        ]
+    in
+    (* log-uniform over [1e-9, 1], endpoints included *)
+    let fraction =
+      frequency
+        [
+          (6, map (fun u -> 10.0 ** (-9.0 *. u)) (float_range 0.0 1.0));
+          (1, oneofl [ 1e-9; 1.0 ]);
+        ]
+    in
+    let mode =
+      oneof
+        [
+          return `Plain;
+          map (fun d -> `Inflated d) (float_range 0.0 3.0);
+          map2 (fun i s -> `Override (i, s)) (int_range 0 9) (float_range 1e-4 1.0);
+        ]
+    in
+    map3
+      (fun (input, stages, stage_f) (physical, full, cached) (mode, fs) ->
+        { input; stages; stage_f; physical; full; cached; mode; fs })
+      (triple input (int_range 0 5) (float_range 0.02 0.3))
+      (triple
+         (oneofl [ Config.Sort_merge; Config.Hash; Config.Adaptive ])
+         bool bool)
+      (pair mode (list_size (int_range 1 8) fraction)))
+
+let print_pricer_case c =
+  Fmt.str "%s stages=%d f=%g %s %s cache=%b %s fs=[%a]"
+    (match c.input with
+    | `Fixture i -> Fmt.str "fixture %d" i
+    | `Generated (_, _, q) -> Fmt.str "generated query %d" q)
+    c.stages c.stage_f
+    (match c.physical with
+    | Config.Sort_merge -> "sort"
+    | Config.Hash -> "hash"
+    | Config.Adaptive -> "adaptive")
+    (if c.full then "full" else "partial")
+    c.cached
+    (match c.mode with
+    | `Plain -> "plain"
+    | `Inflated d -> Fmt.str "inflated %g" d
+    | `Override (i, s) -> Fmt.str "override %d=%g" i s)
+    Fmt.(list ~sep:semi float)
+    c.fs
+
+(* After [stages] executed stages (a warm-up job ahead of it on the
+   same evicting cache, when cached), the pricer and the deviation
+   equal their plan-per-probe references bit for bit at every f. *)
+let pricer_matches_plans c =
+  let catalog, query =
+    match c.input with
+    | `Fixture i ->
+        let wl = (Lazy.force pricer_fixtures).(i) in
+        (wl.Paper_setup.catalog, wl.Paper_setup.query)
+    | `Generated (ty, rels, q) ->
+        (gen_catalog (ty, rels), snd (List.nth gen_queries q))
+  in
+  let config =
+    {
+      Config.default with
+      Config.physical = c.physical;
+      plan =
+        {
+          Config.default.Config.plan with
+          Plan.fulfillment = (if c.full then Plan.Full else Plan.Partial);
+        };
+    }
+  in
+  let cache =
+    if c.cached then Some (Cache.create ~budget_mb:0.005 ~seed:17 ()) else None
+  in
+  let device () =
+    let rng = Fixtures.Prng.create 41 in
+    Fixtures.Device.create ~params:Fixtures.Cost_params.default
+      ~jitter_rng:(Fixtures.Prng.split rng)
+      (Fixtures.Clock.create_virtual ())
+  in
+  let compile seed =
+    let cm = Cost_model.create () in
+    ( Staged.compile ?cache ~catalog ~config ~rng:(Fixtures.Prng.create seed)
+        ~cost_model:cm query,
+      cm )
+  in
+  let run staged n =
+    let device = device () in
+    for _ = 1 to n do
+      ignore (Staged.run_stage staged ~device ~f:c.stage_f)
+    done
+  in
+  if c.cached then run (fst (compile 3)) (c.stages + 2);
+  let staged, cm = compile 5 in
+  run staged c.stages;
+  let mode =
+    match c.mode with
+    | `Plain -> Staged.Plain
+    | `Inflated d_beta -> Staged.Inflated { d_beta; zero_beta = 0.05 }
+    | `Override (i, sel) ->
+        let ids = Staged.op_ids staged in
+        Staged.Override [ (List.nth ids (i mod List.length ids), sel) ]
+  in
+  let price = Staged.pricer staged ~mode and std = Staged.qcost_std staged in
+  List.for_all
+    (fun f ->
+      bits (price f) = bits (plan_cost staged cm ~f ~mode)
+      && bits (std f) = bits (plan_qcost_std staged cm ~f))
+    c.fs
+
+let prop_pricer_matches_plans =
+  QCheck.Test.make ~name:"pricer f = total over plan f, bit for bit" ~count:150
+    (QCheck.make ~print:print_pricer_case gen_pricer_case)
+    pricer_matches_plans
+
+(* One Sample-Size-Determine on a multi-stage 3-way join at domains 1:
+   the same outcome, in at most a fifth of the words a plan per probe
+   allocates. *)
+let test_pricer_allocates_less () =
+  let wl = (Lazy.force pricer_fixtures).(2) in
+  let cm = Cost_model.create () in
+  let staged =
+    Staged.compile ~catalog:wl.Paper_setup.catalog
+      ~config:{ Config.default with Config.domains = 1 }
+      ~rng:(Fixtures.Prng.create 5) ~cost_model:cm wl.Paper_setup.query
+  in
+  let _, device = Fixtures.quiet_device () in
+  for _ = 1 to 4 do
+    ignore (Staged.run_stage staged ~device ~f:0.05)
+  done;
+  List.iter
+    (fun (name, mode) ->
+      let cost f = plan_cost staged cm ~f ~mode in
+      let budget = 0.5 *. (cost 1e-9 +. cost 1.0) in
+      let bisect cost_at =
+        Sample_size.bisect ~cost_at ~budget ~f_min:1e-9 ~f_max:1.0
+          ~eps:(1e-9 *. budget) ~max_iterations:40 ()
+      in
+      let words g =
+        let w0 = Gc.minor_words () in
+        let outcome = g () in
+        (Gc.minor_words () -. w0, outcome)
+      in
+      let plan_words, by_plan = words (fun () -> bisect cost) in
+      let pricer_words, by_pricer =
+        words (fun () -> bisect (Staged.pricer staged ~mode))
+      in
+      checkb (name ^ ": same outcome") true (by_plan = by_pricer);
+      checkb
+        (Fmt.str "%s: %.0f words per plan, %.0f per pricer" name plan_words
+           pricer_words)
+        true
+        (plan_words >= 5.0 *. pricer_words))
+    [
+      ("plain", Staged.Plain);
+      ("inflated", Staged.Inflated { d_beta = 1.645; zero_beta = 0.05 });
+    ]
+
 let () =
   Alcotest.run "physical"
     [
@@ -838,4 +1064,10 @@ let () =
         ] );
       ( "generated",
         [ QCheck_alcotest.to_alcotest prop_generated_queries ] );
+      ( "pricer",
+        [
+          QCheck_alcotest.to_alcotest prop_pricer_matches_plans;
+          Alcotest.test_case "allocates a fifth" `Quick
+            test_pricer_allocates_less;
+        ] );
     ]

@@ -170,7 +170,9 @@ let test_two_runs_identical_with_admission () =
 let eval_admission ?(t = Admission.default) ?(now = 0.0) ?(backlog = 0.0)
     ?(queue_len = 0) job =
   let _, device = Fixtures.quiet_device () in
-  Admission.evaluate t ~device ~now ~backlog ~queue_len job
+  Admission.evaluate t
+    ~staged:(lazy (Admission.compile_for_pricing ~job ()))
+    ~device ~now ~backlog ~queue_len job
 
 let mk_job ?min_confidence ~deadline () =
   let wl = Lazy.force selection in
@@ -358,7 +360,7 @@ let test_preemption_only_across_jobs () =
 (* Policy selection                                                    *)
 
 let cand ~key ~seq ~deadline ~laxity ~service ~weight =
-  { Policy.key; seq; deadline; laxity; service; weight }
+  { Policy.key; seq; deadline; laxity = Lazy.from_val laxity; service; weight }
 
 let test_policy_selection () =
   let a = cand ~key:1 ~seq:1 ~deadline:9.0 ~laxity:2.0 ~service:4.0 ~weight:1.0
