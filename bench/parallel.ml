@@ -14,7 +14,9 @@
    - Identity runs drive the full engine (Executor.run: jittered
      device, tracer, budget ledger) at domains ∈ {1, 2, 4} and assert
      the complete observable surface — report fingerprint, trace event
-     stream, ledger reconciliation — equals the 1-domain run's. The
+     stream, ledger reconciliation — equals the 1-domain run's, and
+     that every run completed at least one stage (a run that stops
+     after planning would make the comparison empty). The
      "+cache" rows attach a small shared cache and run the query twice
      on it, so cache probes, hits and evictions interleave with the
      parallel regions.
@@ -74,7 +76,8 @@ let identity_workloads () =
   in
   [
     ("join", join, 2.0, None);
-    ("three_way_join", three_way_join, 2.5, None);
+    (* At 2.5 s every 3-way run stops after planning: 30 s runs stages. *)
+    ("three_way_join", three_way_join, 30.0, None);
     ( "sharded_skew",
       Paper_setup.sharded_selection ~spec:identity_spec ~shards:4 ~skew:3.0
         ~seed:7 (),
@@ -131,9 +134,10 @@ let staged_best ~domains ~physical ~stages ~f wl =
   done;
   !best
 
-(* The full-engine observable surface, as one comparable string. With
-   [cache_mb], a fresh shared cache of that budget serves two runs of
-   the query in turn, and its final stats join the surface. *)
+(* The full-engine observable surface, as one comparable string, and
+   the fewest stages any of its runs completed. With [cache_mb], a
+   fresh shared cache of that budget serves two runs of the query in
+   turn, and its final stats join the surface. *)
 let engine_fingerprint ?cache_mb ~domains ~quota (wl : Paper_setup.t) =
   let config =
     {
@@ -162,12 +166,14 @@ let engine_fingerprint ?cache_mb ~domains ~quota (wl : Paper_setup.t) =
       Executor.run ~config ~aggregate:Aggregate.Count ?cache ~device
         ~catalog:wl.Paper_setup.catalog ~rng ~quota wl.Paper_setup.query
     in
-    Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a" r.Report.estimate
-      r.Report.variance r.Report.confidence.Taqp_stats.Confidence.half_width
-      r.Report.elapsed r.Report.stages_completed r.Report.degraded Io_stats.pp
-      r.Report.io
+    ( Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a" r.Report.estimate
+        r.Report.variance r.Report.confidence.Taqp_stats.Confidence.half_width
+        r.Report.elapsed r.Report.stages_completed r.Report.degraded
+        Io_stats.pp r.Report.io,
+      r.Report.stages_completed )
   in
-  let reports = List.init (if cache = None then 1 else 2) (fun _ -> run ()) in
+  let runs = List.init (if cache = None then 1 else 2) (fun _ -> run ()) in
+  let reports = List.map fst runs in
   Tracer.close tracer;
   let rc = Ledger.reconcile ~quota ledger in
   let stats =
@@ -177,9 +183,10 @@ let engine_fingerprint ?cache_mb ~domains ~quota (wl : Paper_setup.t) =
         let s = Taqp_cache.Cache.stats c in
         Fmt.str "|cache=%d/%d/%d/%d" s.hits s.misses s.evictions s.bytes
   in
-  Fmt.str "%s|events=%d|charged=%.17g|%b%s" (String.concat "|" reports)
-    (List.length (events ()))
-    rc.Ledger.r_charged rc.Ledger.r_exact stats
+  ( Fmt.str "%s|events=%d|charged=%.17g|%b%s" (String.concat "|" reports)
+      (List.length (events ()))
+      rc.Ledger.r_charged rc.Ledger.r_exact stats,
+    List.fold_left (fun acc (_, n) -> Int.min acc n) max_int runs )
 
 let write ?(path = "BENCH_parallel.json") ?(stages = 8) ?(f = 0.1) () =
   Fmt.pr "@.=== Sharded parallel execution (1 vs N domains) ===@.";
@@ -227,18 +234,23 @@ let write ?(path = "BENCH_parallel.json") ?(stages = 8) ?(f = 0.1) () =
   let identity =
     List.map
       (fun (name, wl, quota, cache_mb) ->
-        let base = engine_fingerprint ?cache_mb ~domains:1 ~quota wl in
+        let base, _ = engine_fingerprint ?cache_mb ~domains:1 ~quota wl in
         let cells =
           List.map
             (fun d ->
-              let fp = engine_fingerprint ?cache_mb ~domains:d ~quota wl in
+              let fp, stages =
+                engine_fingerprint ?cache_mb ~domains:d ~quota wl
+              in
               note (fp = base) (Fmt.str "%s engine domains=%d" name d);
-              (d, fp = base))
+              (* a cell whose runs stop after planning compares nothing *)
+              note (stages > 0)
+                (Fmt.str "%s engine domains=%d ran no stage" name d);
+              (d, fp = base, stages))
             domains_swept
         in
         Fmt.pr "  %-20s engine fingerprint identical at domains {1,2,4}: %b@."
           name
-          (List.for_all snd cells);
+          (List.for_all (fun (_, ok, _) -> ok) cells);
         (name, cells))
       (identity_workloads ())
   in
@@ -304,11 +316,12 @@ let write ?(path = "BENCH_parallel.json") ?(stages = 8) ?(f = 0.1) () =
                      ( "cells",
                        Json.List
                          (List.map
-                            (fun (d, ok) ->
+                            (fun (d, ok, stages) ->
                               Json.Obj
                                 [
                                   ("domains", Json.Num (float_of_int d));
                                   ("identical", Json.Bool ok);
+                                  ("stages", Json.Num (float_of_int stages));
                                 ])
                             cells) );
                    ])

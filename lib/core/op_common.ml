@@ -36,11 +36,38 @@ type slice = {
   hi : int;
 }
 
+type leaf = { units : int list; per_unit : int; n_rows : int }
+
+let iter_rows leaf f =
+  let pos = ref 0 in
+  List.iter
+    (fun u ->
+      let lo = u * leaf.per_unit in
+      for row = lo to Int.min (lo + leaf.per_unit) leaf.n_rows - 1 do
+        f !pos row;
+        incr pos
+      done)
+    leaf.units;
+  !pos
+
+let gather_keys leaf cols ~n =
+  let w = Array.length cols in
+  let keys = Array.make (n * w) 0 in
+  let rows =
+    iter_rows leaf (fun pos row ->
+        for c = 0 to w - 1 do
+          keys.((pos * w) + c) <- cols.(c).(row)
+        done)
+  in
+  if rows <> n then
+    invalid_arg "Op_common.gather_keys: rows do not match the delta";
+  keys
+
 type binary = {
   op : [ `Join | `Intersect ];
   key_l : int array;
   key_r : int array;
-  residual : Tuple.t -> bool;
+  residual : (Tuple.t -> bool) option;
   residual_comparisons : int;
   full : bool;
   bf : int;

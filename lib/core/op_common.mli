@@ -48,11 +48,33 @@ type slice = {
     covers the same slice builds the identical sorted run or hash
     index, so a cached one serves it at probe price. *)
 
+type leaf = {
+  units : int list;  (** the stage's drawn units, in draw order *)
+  per_unit : int;  (** rows per unit: the blocking factor, or 1 for SRS *)
+  n_rows : int;  (** the relation's tuple count *)
+}
+(** The row ids of a scan's stage delta, derived from its drawn units
+    rather than stored: unit [u] is rows [u * per_unit] up to
+    [min ((u + 1) * per_unit) n_rows - 1], and the delta concatenates
+    the units in draw order. Row ids index a
+    {!Taqp_storage.Heap_file.int_column}. *)
+
+val iter_rows : leaf -> (int -> int -> unit) -> int
+(** [f pos row] for each row of the delta, [pos] its position in the
+    delta; returns the row count. *)
+
+val gather_keys : leaf -> int array array -> n:int -> int array
+(** The key ints of an [n]-tuple leaf delta read from the key columns
+    [cols] (one per key position), row-major as
+    {!Taqp_relational.Sorted_run.int_keys} lays them out.
+    @raise Invalid_argument unless the leaf holds [n] rows. *)
+
 type binary = {
   op : [ `Join | `Intersect ];
   key_l : int array;
   key_r : int array;
-  residual : Tuple.t -> bool;
+  residual : (Tuple.t -> bool) option;
+      (** [None] when the residual is [True]: every candidate passes *)
   residual_comparisons : int;
   full : bool;  (** full fulfillment; else partial (delta x delta) *)
   bf : int;  (** output blocking factor *)

@@ -71,7 +71,8 @@ let probe ctx b index ~probe_key ~indexed_side probes =
         match b.op with
         | `Join ->
             Ops.probe_join_counted ~index ~probe_key ~indexed_side
-              ~residual:b.residual sub
+              ~residual:(Option.value b.residual ~default:(fun _ -> true))
+              sub
         | `Intersect ->
             let emit_side = if indexed_side = `Left then `Indexed else `Probe in
             (Ops.hash_probe_intersect ~index ~emit_side sub, 0))

@@ -4,22 +4,27 @@ module Fulfillment = Taqp_sampling.Fulfillment
 
 type t = {
   b : binary;
-  sort_l : Tuple.t array -> Sorted_run.t;
-  sort_r : Tuple.t array -> Sorted_run.t;
+  sort_l : ?keys:int array -> Tuple.t array -> Sorted_run.t;
+  sort_r : ?keys:int array -> Tuple.t array -> Sorted_run.t;
+  cols_l : int array array option;
+  cols_r : int array array option;
   bf_l : int;
   bf_r : int;
   mutable files_l : Sorted_run.t list;
   mutable files_r : Sorted_run.t list;
 }
 
-let create b ~arity_l ~arity_r ~bf_l ~bf_r =
+let create b ~arity_l ~arity_r ~cols_l ~cols_r ~bf_l ~bf_r =
   let sort key arity =
-    Sorted_run.sort ~key ~cmp:(Ops.key_comparator ~arity key)
+    let cmp = Ops.key_comparator ~arity key in
+    fun ?keys tuples -> Sorted_run.sort ?keys ~key ~cmp tuples
   in
   {
     b;
     sort_l = sort b.key_l arity_l;
     sort_r = sort b.key_r arity_r;
+    cols_l;
+    cols_r;
     bf_l;
     bf_r;
     files_l = [];
@@ -121,7 +126,10 @@ let measures_of p ~nl ~nr ~out_new =
 
 let measures s ~nl ~nr ~out_new = measures_of (prepare s) ~nl ~nr ~out_new
 
-let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
+type _ want = Tuples : Tuple.t array want | Count : int want
+
+let eval (type a) ctx ~id s ~(want : a want) ~slice_l ~slice_r ~leaf_l ~leaf_r
+    delta_l delta_r : a =
   let device = ctx.device and b = s.b in
   (* Taken before the retained state moves, so they are what
      [measures] promised the planner. *)
@@ -151,8 +159,16 @@ let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
      (never mutated afterwards, so sharing it across jobs is safe).
      Every other sort is computed after the walk, in one batch. *)
   let work = ref 0 in
-  let walk sort key slice arr =
+  let walk (sort : ?keys:int array -> Tuple.t array -> Sorted_run.t) key
+      ?cols ?leaf ?slice arr =
     let n = Array.length arr in
+    (* A leaf-fed delta's key ints come from its relation's columns,
+       row by row, instead of out of its tuples. *)
+    let sort () =
+      match (cols, leaf) with
+      | Some cols, Some leaf -> sort ~keys:(gather_keys leaf cols ~n) arr
+      | _ -> sort arr
+    in
     let cached =
       Option.bind slice (fun sl ->
           Cache.find_sorted_run sl.cache ~file:sl.file ~kind:sl.kind ~lo:sl.lo
@@ -164,7 +180,7 @@ let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
         Fun.const run
     | None, Some sl ->
         Device.sort device ~n;
-        let run = sort arr in
+        let run = sort () in
         let p = Device.params device and fn = float_of_int n in
         Cache.store_sorted_run sl.cache ~file:sl.file ~kind:sl.kind ~lo:sl.lo
           ~hi:sl.hi ~key
@@ -176,12 +192,16 @@ let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
     | None, None ->
         Device.sort device ~n;
         work := !work + n;
-        fun () -> sort arr
+        sort
   in
-  let catch_l = List.map (walk s.sort_l b.key_l None) missing_l in
-  let catch_r = List.map (walk s.sort_r b.key_r None) missing_r in
-  let run_r = walk s.sort_r b.key_r slice_r delta_r in
-  let run_l = walk s.sort_l b.key_l slice_l delta_l in
+  let catch_l = List.map (walk s.sort_l b.key_l) missing_l in
+  let catch_r = List.map (walk s.sort_r b.key_r) missing_r in
+  let run_r =
+    walk s.sort_r b.key_r ?cols:s.cols_r ?leaf:leaf_r ?slice:slice_r delta_r
+  in
+  let run_l =
+    walk s.sort_l b.key_l ?cols:s.cols_l ?leaf:leaf_l ?slice:slice_l delta_l
+  in
   let sorted =
     run ctx ~work:!work (Array.of_list (catch_l @ catch_r @ [ run_r; run_l ]))
   in
@@ -201,42 +221,62 @@ let eval ctx ~id s ~slice_l ~slice_r delta_l delta_r =
       (List.map (fun (i, j) -> (files_l.(i - 1), files_r.(j - 1))) pairings)
   in
   let pair_tuples (fl, fr) = Sorted_run.length fl + Sorted_run.length fr in
+  (* Each merge returns its output tuples (none when only the count is
+     wanted), its output count and its candidate count. *)
+  let key_l = b.key_l and key_r = b.key_r in
   let merge (fl, fr) () =
-    match b.op with
-    | `Join ->
-        Sorted_run.merge_join ~key_l:b.key_l ~key_r:b.key_r ~residual:b.residual
-          fl fr
-    | `Intersect -> (Sorted_run.merge_intersect ~key:b.key_l fl fr, 0)
+    match (b.op, want) with
+    | `Join, Tuples ->
+        let out, candidates =
+          Sorted_run.join ~key_l ~key_r ~residual:b.residual fl fr
+        in
+        (out, Array.length out, candidates)
+    | `Join, Count ->
+        let n, candidates =
+          Sorted_run.count_join ~key_l ~key_r ~residual:b.residual fl fr
+        in
+        ([||], n, candidates)
+    | `Intersect, Tuples ->
+        let out = Sorted_run.intersect ~key:key_l fl fr in
+        (out, Array.length out, 0)
+    | `Intersect, Count -> ([||], Sorted_run.count_pairs ~key_l ~key_r fl fr, 0)
   in
   let merged =
     run ctx
       ~work:(Array.fold_left (fun acc p -> acc + pair_tuples p) 0 pair_files)
       (Array.map merge pair_files)
   in
-  let out = ref [] in
+  let n_out = ref 0 in
   Array.iteri
-    (fun idx (produced, candidates) ->
+    (fun idx (_, n, candidates) ->
       Device.merge_setup device;
       Device.merge_tuples device ~n:(pair_tuples pair_files.(idx));
       for _ = 1 to candidates do
         Device.check_tuples device ~n:1 ~comparisons:b.residual_comparisons
       done;
-      out := List.rev_append produced !out)
+      n_out := !n_out + n)
     merged;
+  let n_out = !n_out in
   let t3 = now ctx in
-  let out = Array.of_list (List.rev !out) in
-  charge_output ctx ~bf:b.bf (Array.length out);
+  charge_output ctx ~bf:b.bf n_out;
   let t4 = now ctx in
   observe ctx ~id
-    (with_output ~bf:b.bf m (float_of_int (Array.length out)))
+    (with_output ~bf:b.bf m (float_of_int n_out))
     [
       (Formulas.Step_write_temp, t1 -. t0);
       (Formulas.Step_sort, t2 -. t1);
       (Formulas.Step_merge, t3 -. t2);
       (Formulas.Step_output, t4 -. t3);
     ];
-  out
+  match want with
+  | Count -> n_out
+  | Tuples -> (
+      match merged with
+      | [| (out, _, _) |] -> out
+      | _ ->
+          Array.concat
+            (Array.to_list (Array.map (fun (out, _, _) -> out) merged)))
 
 let restore s ~files_l ~files_r =
-  s.files_l <- List.map s.sort_l (take files_l s.b.deltas_l);
-  s.files_r <- List.map s.sort_r (take files_r s.b.deltas_r)
+  s.files_l <- List.map (fun d -> s.sort_l d) (take files_l s.b.deltas_l);
+  s.files_r <- List.map (fun d -> s.sort_r d) (take files_r s.b.deltas_r)

@@ -7,9 +7,16 @@
 
 type t = private {
   b : Op_common.binary;  (** shared with the operator's {!Op_hash.t} *)
-  sort_l : Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
-      (** precompiled sort order *)
-  sort_r : Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
+  sort_l :
+    ?keys:int array -> Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
+      (** precompiled sort order; [keys] as in
+          {!Taqp_relational.Sorted_run.sort} *)
+  sort_r :
+    ?keys:int array -> Taqp_data.Tuple.t array -> Taqp_relational.Sorted_run.t;
+  cols_l : int array array option;
+      (** the left key's int columns, one per key position, when the
+          left child is a scan and every key attribute has one *)
+  cols_r : int array array option;
   bf_l : int;  (** the sides' temp-file blocking factors *)
   bf_r : int;
   mutable files_l : Taqp_relational.Sorted_run.t list;
@@ -18,7 +25,9 @@ type t = private {
 }
 
 val create :
-  Op_common.binary -> arity_l:int -> arity_r:int -> bf_l:int -> bf_r:int -> t
+  Op_common.binary -> arity_l:int -> arity_r:int ->
+  cols_l:int array array option -> cols_r:int array array option ->
+  bf_l:int -> bf_r:int -> t
 
 val kind : t -> Taqp_timecost.Formulas.op_kind
 (** [Join] or [Intersect]: the operator's own cost-model node. *)
@@ -45,17 +54,28 @@ val measures :
 (** [measures_of (prepare s)]: the one formula the planner, the
     adaptive path choice, the stage pricer and {!eval} all use. *)
 
+type _ want =
+  | Tuples : Taqp_data.Tuple.t array want
+      (** the output tuples: pairing order, then emission order *)
+  | Count : int want
+      (** only their number, for a root nothing reads but its count *)
+
 val eval :
-  Op_common.ctx -> id:int -> t -> slice_l:Op_common.slice option ->
-  slice_r:Op_common.slice option -> Taqp_data.Tuple.t array ->
-  Taqp_data.Tuple.t array -> Taqp_data.Tuple.t array
+  Op_common.ctx -> id:int -> t -> want:'a want ->
+  slice_l:Op_common.slice option -> slice_r:Op_common.slice option ->
+  leaf_l:Op_common.leaf option -> leaf_r:Op_common.leaf option ->
+  Taqp_data.Tuple.t array -> Taqp_data.Tuple.t array -> 'a
 (** One stage on the deltas [delta_l], [delta_r], with [slice_*] the
-    shared-cache key of a leaf-fed delta. Issues a single charge
+    shared-cache key and [leaf_*] the row ids of a leaf-fed delta (a
+    leaf-fed sort reads its keys from [cols_*]). Issues a single charge
     sequence (writes, sorts in the order catch-up left, catch-up right,
     delta right, delta left, then per pairing merge setup, merge reads
     and residual checks, then output), observes the four steps into
-    cost-model node [id], and appends the new files. Does not append
-    the deltas: that is the caller's, after either path. *)
+    cost-model node [id], and appends the new files. [want] changes
+    what is returned, never a charge: under [Count] the merges count
+    pairs (as key-group size products when there is no residual)
+    instead of building them. Does not append the deltas: that is the
+    caller's, after either path. *)
 
 val restore : t -> files_l:int -> files_r:int -> unit
 (** Rebuild the files from the first [files_*] restored deltas, with

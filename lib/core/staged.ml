@@ -50,6 +50,7 @@ type scan = {
   mutable stage_tuples : int list;  (** newest first: tuples per stage *)
   mutable drawn_tuples : int;
   mutable last_delta : Tuple.t array;
+  mutable last_units : int list;  (** the units [last_delta] holds, in order *)
   mutable last_unit_deltas : Tuple.t array list;  (** per drawn unit *)
 }
 
@@ -142,6 +143,22 @@ let initial_sel (config : Config.t) op =
       Option.value ov.intersect
         ~default:(Selectivity.initial_for (`Intersect (n1, n2)))
 
+(* The relation a scan node reads. Its int columns are taken at
+   compile time, on the domain that compiles the query, so no pool job
+   ever builds one. *)
+let leaf_file node =
+  match node.kind with
+  | Leaf scan -> Some scan.file
+  | Select_node _ | Project_node _ | Binary_node _ -> None
+
+(* The columns of a scan node's attributes at [positions], if every one
+   has a column. *)
+let leaf_columns node positions =
+  Option.bind (leaf_file node) (fun file ->
+      let cols = Array.map (Heap_file.int_column file) positions in
+      if Array.for_all Option.is_some cols then Some (Array.map Option.get cols)
+      else None)
+
 let make_binary ~full ~op ~key_l ~key_r ~residual ~residual_comparisons ~left
     ~right ~hash_id ~out_bytes =
   let shared =
@@ -164,7 +181,9 @@ let make_binary ~full ~op ~key_l ~key_r ~residual ~residual_comparisons ~left
       right;
       sort =
         Op_sort_merge.create shared ~arity_l:(Schema.arity left.schema)
-          ~arity_r:(Schema.arity right.schema) ~bf_l:(bf_of_bytes left.out_bytes)
+          ~arity_r:(Schema.arity right.schema)
+          ~cols_l:(leaf_columns left key_l) ~cols_r:(leaf_columns right key_r)
+          ~bf_l:(bf_of_bytes left.out_bytes)
           ~bf_r:(bf_of_bytes right.out_bytes);
       hash = Op_hash.create shared ~id:hash_id;
     }
@@ -216,6 +235,7 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             stage_tuples = [];
             drawn_tuples = 0;
             last_delta = [||];
+            last_units = [];
             last_unit_deltas = [];
           }
         in
@@ -267,6 +287,10 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
                     {
                       Op_select.comparisons = Predicate.comparisons pred;
                       test = Predicate.compile child.schema pred;
+                      rows =
+                        Option.bind (leaf_file child) (fun file ->
+                            Predicate.compile_rows child.schema
+                              ~column:(Heap_file.int_column file) pred);
                       bf = bf_of_bytes child.out_bytes;
                     };
                   child;
@@ -331,7 +355,10 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             cum_points = 0.0;
             kind =
               make_binary ~full ~op:`Join ~key_l ~key_r
-                ~residual:(Predicate.compile schema residual_pred)
+                ~residual:
+                  (match residual_pred with
+                  | Predicate.True -> None
+                  | p -> Some (Predicate.compile schema p))
                 ~residual_comparisons:(Predicate.comparisons residual_pred)
                 ~left ~right ~hash_id ~out_bytes;
           }
@@ -359,7 +386,7 @@ let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
             cum_points = 0.0;
             kind =
               make_binary ~full ~op:`Intersect ~key_l:key ~key_r:key
-                ~residual:(fun _ -> true)
+                ~residual:None
                 ~residual_comparisons:0 ~left ~right ~hash_id
                 ~out_bytes:left.out_bytes;
           }
@@ -916,6 +943,7 @@ let draw_and_scan t device ~f =
       let k = units_for scan ~f in
       if k = 0 then begin
         scan.last_delta <- [||];
+        scan.last_units <- [];
         scan.last_unit_deltas <- [];
         scan.stage_tuples <- 0 :: scan.stage_tuples;
         None
@@ -938,6 +966,7 @@ let draw_and_scan t device ~f =
         in
         let tuples, misses = read_units t device scan unit_ids in
         scan.last_delta <- tuples;
+        scan.last_units <- unit_ids;
         scan.stage_tuples <- Array.length tuples :: scan.stage_tuples;
         scan.drawn_tuples <- scan.drawn_tuples + Array.length tuples;
         let t1 = Clock.now (Device.clock device) in
@@ -989,35 +1018,46 @@ let node_label node =
   | Binary_node { shared = { op = `Join; _ }; _ } -> "join"
   | Binary_node { shared = { op = `Intersect; _ }; _ } -> "intersect"
 
+(* The row ids of a scan node's stage delta, for the column paths. *)
+let leaf_rows node =
+  match node.kind with
+  | Leaf scan ->
+      Some
+        {
+          Op_common.units = scan.last_units;
+          per_unit = tuples_per_unit scan;
+          n_rows = Heap_file.n_tuples scan.file;
+        }
+  | Select_node _ | Project_node _ | Binary_node _ -> None
+
 (* One stage's selectivity observation and point-space bookkeeping. *)
-let record_stage node ~points out =
-  let n_out = float_of_int (Array.length out) in
+let record_stage node ~points n_out =
+  let n_out = float_of_int n_out in
   Selectivity.observe node.sel ~points ~tuples:n_out;
   node.cum_points <- node.cum_points +. points;
   node.cum_out <- node.cum_out +. n_out
 
-(* Evaluate a node's stage delta; children first, then the operator
-   module's own charged, timed and observed work. [eval_node] wraps
-   the dispatch in an operator-category span (children recurse through
-   the wrapper, so the span tree mirrors the operator tree); tuples-in
-   is the number of sample-space points this stage added under the
-   node, tuples-out the delta it produced. *)
-let rec eval_node t ctx node : Tuple.t array =
+(* [f ()] is a node's stage, [size] its output's tuple count. Wraps it
+   in an operator-category span (children recurse through the wrapper,
+   so the span tree mirrors the operator tree); tuples-in is the number
+   of sample-space points this stage added under the node, tuples-out
+   the delta it produced. *)
+let traced ctx node ~size f =
   let tracer = Device.tracer ctx.Op_common.device in
-  if not (Tracer.enabled tracer) then eval_op t ctx node
+  if not (Tracer.enabled tracer) then f ()
   else begin
     let label = node_label node in
     let points_before = node.cum_points in
     Tracer.span_begin tracer ~cat:"operator" label
       ~args:[ ("node", Event.Int node.id) ];
-    match eval_op t ctx node with
+    match f () with
     | out ->
         Tracer.span_end tracer ~cat:"operator" label
           ~args:
             [
               ("node", Event.Int node.id);
               ("tuples_in", Event.Float (node.cum_points -. points_before));
-              ("tuples_out", Event.Int (Array.length out));
+              ("tuples_out", Event.Int (size out));
               ("sel", Event.Float (Selectivity.estimate node.sel));
             ];
         out
@@ -1026,6 +1066,22 @@ let rec eval_node t ctx node : Tuple.t array =
           ~args:[ ("node", Event.Int node.id); ("aborted", Event.Bool true) ];
         raise e
   end
+
+(* Evaluate a node's stage delta; children first, then the operator
+   module's own charged, timed and observed work. *)
+let rec eval_node t ctx node : Tuple.t array =
+  traced ctx node ~size:Array.length (fun () -> eval_op t ctx node)
+
+(* The stage of a COUNT root, whose output nothing reads but its size:
+   a sort-merge join or intersect counts it instead of building it,
+   with the same charges; any other operator builds it as
+   [eval_node] does. *)
+and count_node t ctx node : int =
+  traced ctx node ~size:Fun.id (fun () ->
+      match node.kind with
+      | Binary_node b -> eval_binary t ctx node b Op_sort_merge.Count
+      | Leaf _ | Select_node _ | Project_node _ ->
+          Array.length (eval_op t ctx node))
 
 and eval_op t ctx node : Tuple.t array =
   match node.kind with
@@ -1036,8 +1092,12 @@ and eval_op t ctx node : Tuple.t array =
       scan.last_delta
   | Select_node { select; child } ->
       let delta = eval_node t ctx child in
-      let out = Op_select.eval ctx ~id:node.id select delta in
-      record_stage node ~points:(float_of_int (Array.length delta)) out;
+      let out =
+        Op_select.eval ctx ~id:node.id select ?leaf:(leaf_rows child) delta
+      in
+      record_stage node
+        ~points:(float_of_int (Array.length delta))
+        (Array.length out);
       out
   | Project_node { project; child } ->
       let delta = eval_node t ctx child in
@@ -1047,35 +1107,46 @@ and eval_op t ctx node : Tuple.t array =
       Selectivity.set_cumulative node.sel ~points:node.cum_points
         ~tuples:node.cum_out;
       out
-  | Binary_node b ->
-      let delta_l = eval_node t ctx b.left in
-      let delta_r = eval_node t ctx b.right in
-      let shared = b.shared in
-      let nl = float_of_int (Array.length delta_l) in
-      let nr = float_of_int (Array.length delta_r) in
-      let points_new =
-        if shared.full then
-          (nl *. float_of_int (Op_common.sum_lengths shared.deltas_r))
-          +. (float_of_int (Op_common.sum_lengths shared.deltas_l) *. nr)
-          +. (nl *. nr)
-        else nl *. nr
-      in
-      let out_guess =
-        Float.max 0.0 (Selectivity.estimate node.sel *. points_new)
-      in
-      let slice_l = leaf_slice t b.left delta_l in
-      let out =
-        match (choose_path (paths t node b) ~nl ~nr ~out_guess).path with
-        | `Sort ->
-            Op_sort_merge.eval ctx ~id:node.id b.sort ~slice_l
-              ~slice_r:(leaf_slice t b.right delta_r)
-              delta_l delta_r
-        | `Hash -> Op_hash.eval ctx b.hash ~slice_l delta_l delta_r
-      in
-      shared.deltas_l <- shared.deltas_l @ [ delta_l ];
-      shared.deltas_r <- shared.deltas_r @ [ delta_r ];
-      record_stage node ~points:points_new out;
-      out
+  | Binary_node b -> eval_binary t ctx node b Op_sort_merge.Tuples
+
+and eval_binary : type a.
+    t -> Op_common.ctx -> node -> binary -> a Op_sort_merge.want -> a =
+ fun t ctx node b want ->
+  let delta_l = eval_node t ctx b.left in
+  let delta_r = eval_node t ctx b.right in
+  let shared = b.shared in
+  let nl = float_of_int (Array.length delta_l) in
+  let nr = float_of_int (Array.length delta_r) in
+  let points_new =
+    if shared.full then
+      (nl *. float_of_int (Op_common.sum_lengths shared.deltas_r))
+      +. (float_of_int (Op_common.sum_lengths shared.deltas_l) *. nr)
+      +. (nl *. nr)
+    else nl *. nr
+  in
+  let out_guess = Float.max 0.0 (Selectivity.estimate node.sel *. points_new) in
+  let slice_l = leaf_slice t b.left delta_l in
+  let out : a =
+    match (choose_path (paths t node b) ~nl ~nr ~out_guess).path with
+    | `Sort ->
+        Op_sort_merge.eval ctx ~id:node.id b.sort ~want ~slice_l
+          ~slice_r:(leaf_slice t b.right delta_r) ~leaf_l:(leaf_rows b.left)
+          ~leaf_r:(leaf_rows b.right) delta_l delta_r
+    | `Hash -> (
+        let out = Op_hash.eval ctx b.hash ~slice_l delta_l delta_r in
+        match want with
+        | Op_sort_merge.Tuples -> out
+        | Op_sort_merge.Count -> Array.length out)
+  in
+  shared.deltas_l <- shared.deltas_l @ [ delta_l ];
+  shared.deltas_r <- shared.deltas_r @ [ delta_r ];
+  let n_out =
+    match want with
+    | Op_sort_merge.Tuples -> Array.length out
+    | Op_sort_merge.Count -> out
+  in
+  record_stage node ~points:points_new n_out;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Estimation                                                          *)
@@ -1323,26 +1394,27 @@ let run_stage t ~device ~f =
     else begin
       let t0 = Clock.now clock in
       let ctx = { Op_common.device; cost_model = t.cost_model; pool = t.pool } in
-      let root_deltas =
-        List.map (fun term -> eval_node t ctx term.root) t.terms
+      (* A COUNT term needs only its root's output size; a SUM or AVG
+         term folds the root's tuples into its moments. *)
+      let root_sizes =
+        List.map
+          (fun term ->
+            match term.agg_pos with
+            | None -> count_node t ctx term.root
+            | Some pos ->
+                let delta = eval_node t ctx term.root in
+                term.moments <-
+                  Array.fold_left
+                    (fun acc tuple ->
+                      match Taqp_data.Value.to_float (Tuple.get tuple pos) with
+                      | Some v -> Aggregate.add_tuple acc v
+                      | None -> Aggregate.add_tuple acc 0.0)
+                    term.moments delta;
+                Array.length delta)
+          t.terms
       in
-      List.iter2
-        (fun term delta ->
-          match term.agg_pos with
-          | None -> ()
-          | Some pos ->
-              term.moments <-
-                Array.fold_left
-                  (fun acc tuple ->
-                    match Taqp_data.Value.to_float (Tuple.get tuple pos) with
-                    | Some v -> Aggregate.add_tuple acc v
-                    | None -> Aggregate.add_tuple acc 0.0)
-                  term.moments delta)
-        t.terms root_deltas;
       let nodes_elapsed = Clock.now clock -. t0 in
-      List.iter
-        (fun delta -> Device.estimator_update device ~n:(Array.length delta))
-        root_deltas;
+      List.iter (fun n -> Device.estimator_update device ~n) root_sizes;
       if t.config.variance_estimator = Config.Cluster_exact then
         List.iter (fun term -> update_block_counts device term) t.terms;
       t.stage <- t.stage + 1;
@@ -1519,6 +1591,7 @@ let restore t snap =
       (* within-stage scratch: the next draw_and_scan overwrites both,
          exactly as it would have at this boundary in the dead run *)
       scan.last_delta <- [||];
+      scan.last_units <- [];
       scan.last_unit_deltas <- [];
       (* A resumed scan rejoins the shared prefix only if the dead
          run's drawn units are exactly the prefix's first [drawn]

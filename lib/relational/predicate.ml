@@ -128,6 +128,73 @@ let compile schema pred =
   in
   go pred
 
+(* ------------------------------------------------------------------ *)
+(* The column form: the same predicate over row ids of int columns.   *)
+
+type operand = Col of int array | Lit of int
+
+exception Not_columnar
+
+(* [a op b] with both sides ints, as [cmp_holds] decides it on [Int]s:
+   [Value.compare] on two [Int]s is [Int.compare]. *)
+let cmp_rows op a b : int -> bool =
+  let flip = function
+    | Lt -> Gt
+    | Le -> Ge
+    | Gt -> Lt
+    | Ge -> Le
+    | (Eq | Ne) as op -> op
+  in
+  match (a, b) with
+  | Lit x, Lit y ->
+      let holds = cmp_holds op (Value.Int x) (Value.Int y) in
+      fun _ -> holds
+  | Col c, Lit k | Lit k, Col c -> (
+      let op = match a with Lit _ -> flip op | Col _ -> op in
+      match op with
+      | Eq -> fun r -> c.(r) = k
+      | Ne -> fun r -> c.(r) <> k
+      | Lt -> fun r -> c.(r) < k
+      | Le -> fun r -> c.(r) <= k
+      | Gt -> fun r -> c.(r) > k
+      | Ge -> fun r -> c.(r) >= k)
+  | Col c, Col d -> (
+      match op with
+      | Eq -> fun r -> c.(r) = d.(r)
+      | Ne -> fun r -> c.(r) <> d.(r)
+      | Lt -> fun r -> c.(r) < d.(r)
+      | Le -> fun r -> c.(r) <= d.(r)
+      | Gt -> fun r -> c.(r) > d.(r)
+      | Ge -> fun r -> c.(r) >= d.(r))
+
+let compile_rows schema ~column pred =
+  typecheck schema pred;
+  let operand = function
+    | Attr name -> (
+        match column (Schema.find schema name) with
+        | Some c -> Col c
+        | None -> raise Not_columnar)
+    | Const (Value.Int k) -> Lit k
+    | Const (Value.Float _ | Value.String _ | Value.Bool _ | Value.Null)
+    | Add _ | Sub _ | Mul _ | Div _ ->
+        raise Not_columnar
+  in
+  let rec go = function
+    | True -> fun _ -> true
+    | False -> fun _ -> false
+    | Cmp (op, a, b) -> cmp_rows op (operand a) (operand b)
+    | And (a, b) ->
+        let fa = go a and fb = go b in
+        fun r -> fa r && fb r
+    | Or (a, b) ->
+        let fa = go a and fb = go b in
+        fun r -> fa r || fb r
+    | Not a ->
+        let fa = go a in
+        fun r -> not (fa r)
+  in
+  match go pred with test -> Some test | exception Not_columnar -> None
+
 let rec comparisons = function
   | True | False -> 0
   | Cmp (_, _, _) -> 1

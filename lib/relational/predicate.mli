@@ -36,6 +36,18 @@ val compile : Schema.t -> t -> Tuple.t -> bool
     evaluator. Null comparisons are false (SQL-ish three-valued logic
     collapsed to false). @raise Type_error as {!typecheck}. *)
 
+val compile_rows :
+  Schema.t -> column:(int -> int array option) -> t -> (int -> bool) option
+(** The predicate as a test on row ids, for tuples whose attributes are
+    held as flat int columns: [column i] is attribute [i]'s column
+    (indexed by row id), or [None] if it has none. [Some test] when
+    every comparison sets an [Int] attribute with a column against
+    another such attribute or an [Int] constant, under [And], [Or],
+    [Not], [True] and [False]; then [test r] is {!compile}'s verdict on
+    the tuple at row [r]. [None] for any other shape: float, string,
+    bool or null constants, arithmetic, or an attribute without a
+    column. @raise Type_error as {!typecheck}. *)
+
 val comparisons : t -> int
 (** Number of comparison nodes, the cost-formula workload measure. *)
 

@@ -115,15 +115,21 @@ let break_ties (k : int array) p tuples cmp =
    drops them, so wherever a sort sees a tuple its pad is a function of
    its fields, and two such tuples are interchangeable in every later
    merge, aggregate and charge. *)
-let sort ~key ~cmp tuples =
+let sort ?keys ~key ~cmp tuples =
   let w = Array.length key in
-  match if w = 0 then None else int_keys ~key tuples with
+  let keys =
+    if w = 0 then None
+    else match keys with Some _ -> keys | None -> int_keys ~key tuples
+  in
+  match keys with
   | None ->
       let s = Array.copy tuples in
       Array.sort cmp s;
       { tuples = s; keys = None }
   | Some keys ->
       let n = Array.length tuples in
+      if Array.length keys <> n * w then
+        invalid_arg "Sorted_run.sort: keys do not match the tuples";
       (* with one column the key array itself is sorted in place *)
       let k = if w = 1 then keys else Array.init n (fun i -> keys.(i * w)) in
       let p = Array.init n Fun.id in
@@ -142,45 +148,90 @@ let sort ~key ~cmp tuples =
 (* ------------------------------------------------------------------ *)
 (* Merging                                                             *)
 
+(* Every key-equal group of two runs' stored keys, in merge order:
+   [group i0 i1 j0 j1] for rows [\[i0, i1)] of [kl] and [\[j0, j1)] of
+   [kr]. *)
+let iter_groups (kl : int array) (kr : int array) ~w ~nl ~nr group =
+  let i = ref 0 and j = ref 0 in
+  while !i < nl && !j < nr do
+    let c = compare_keys kl w !i kr !j in
+    if c < 0 then incr i
+    else if c > 0 then incr j
+    else begin
+      let i0 = !i and j0 = !j in
+      incr i;
+      while !i < nl && compare_keys kl w !i kl i0 = 0 do
+        incr i
+      done;
+      incr j;
+      while !j < nr && compare_keys kr w !j kr j0 = 0 do
+        incr j
+      done;
+      group i0 !i j0 !j
+    end
+  done
+
 let merge_pairs ~key_l ~key_r l r emit =
   match (l.keys, r.keys) with
   | Some kl, Some kr ->
-      let w = Array.length key_l in
       let tl = l.tuples and tr = r.tuples in
-      let nl = Array.length tl and nr = Array.length tr in
-      let i = ref 0 and j = ref 0 in
-      while !i < nl && !j < nr do
-        let c = compare_keys kl w !i kr !j in
-        if c < 0 then incr i
-        else if c > 0 then incr j
-        else begin
-          let i0 = !i and j0 = !j in
-          incr i;
-          while !i < nl && compare_keys kl w !i kl i0 = 0 do
-            incr i
-          done;
-          incr j;
-          while !j < nr && compare_keys kr w !j kr j0 = 0 do
-            incr j
-          done;
-          for a = i0 to !i - 1 do
-            for b = j0 to !j - 1 do
+      iter_groups kl kr ~w:(Array.length key_l) ~nl:(Array.length tl)
+        ~nr:(Array.length tr) (fun i0 i1 j0 j1 ->
+          for a = i0 to i1 - 1 do
+            for b = j0 to j1 - 1 do
               emit tl.(a) tr.(b)
             done
-          done
-        end
-      done
+          done)
   | _ -> Ops.merge_groups ~key_l ~key_r l.tuples r.tuples emit
 
-let merge_join ~key_l ~key_r ~residual l r =
-  let out = ref [] and candidates = ref 0 in
-  merge_pairs ~key_l ~key_r l r (fun a b ->
-      incr candidates;
-      let t = Tuple.concat a b in
-      if residual t then out := t :: !out);
-  (List.rev !out, !candidates)
+let count_pairs ~key_l ~key_r l r =
+  let n = ref 0 in
+  (match (l.keys, r.keys) with
+  | Some kl, Some kr ->
+      iter_groups kl kr ~w:(Array.length key_l) ~nl:(length l) ~nr:(length r)
+        (fun i0 i1 j0 j1 -> n := !n + ((i1 - i0) * (j1 - j0)))
+  | _ -> Ops.merge_groups ~key_l ~key_r l.tuples r.tuples (fun _ _ -> incr n));
+  !n
 
-let merge_intersect ~key l r =
-  let out = ref [] in
-  merge_pairs ~key_l:key ~key_r:key l r (fun a _ -> out := a :: !out);
-  List.rev !out
+(* The pairs' images under [f] that [keep] accepts, in emission order,
+   in one array sized by the candidate count. *)
+let collect ~key_l ~key_r ~candidates l r f keep =
+  let out = ref [||] and k = ref 0 in
+  merge_pairs ~key_l ~key_r l r (fun a b ->
+      let t = f a b in
+      if keep t then begin
+        if !k = 0 then out := Array.make candidates t;
+        !out.(!k) <- t;
+        incr k
+      end);
+  if !k = Array.length !out then !out else Array.sub !out 0 !k
+
+let join ~key_l ~key_r ~residual l r =
+  let candidates = count_pairs ~key_l ~key_r l r in
+  let keep = Option.value residual ~default:(fun _ -> true) in
+  (collect ~key_l ~key_r ~candidates l r Tuple.concat keep, candidates)
+
+let intersect ~key l r =
+  collect ~key_l:key ~key_r:key
+    ~candidates:(count_pairs ~key_l:key ~key_r:key l r)
+    l r
+    (fun a _ -> a)
+    (fun _ -> true)
+
+let count_join ~key_l ~key_r ~residual l r =
+  match residual with
+  | None ->
+      let n = count_pairs ~key_l ~key_r l r in
+      (n, n)
+  | Some residual ->
+      let passed = ref 0 and candidates = ref 0 in
+      merge_pairs ~key_l ~key_r l r (fun a b ->
+          incr candidates;
+          if residual (Tuple.concat a b) then incr passed);
+      (!passed, !candidates)
+
+let merge_join ~key_l ~key_r ~residual l r =
+  let out, candidates = join ~key_l ~key_r ~residual:(Some residual) l r in
+  (Array.to_list out, candidates)
+
+let merge_intersect ~key l r = Array.to_list (intersect ~key l r)

@@ -8,7 +8,12 @@ type t = {
   blocking_factor : int;
   block_bytes : int;
   tuple_bytes : int;
+  columns : column Atomic.t array;  (** one per attribute *)
 }
+
+(* An attribute's flat int column, built on first use: [Built None]
+   once some value of the attribute is not an [Int]. *)
+and column = Unbuilt | Built of int array option
 
 (* Process-global creation-order counter: relation *names* collide
    across catalogs ("r1" in every Paper_setup workload), so the shared
@@ -56,7 +61,16 @@ let create ?(block_bytes = 1024) ?(tuple_bytes = 200) ~schema tuples =
   in
   let uid = !next_uid in
   incr next_uid;
-  { uid; schema; blocks; n_tuples = n; blocking_factor; block_bytes; tuple_bytes }
+  {
+    uid;
+    schema;
+    blocks;
+    n_tuples = n;
+    blocking_factor;
+    block_bytes;
+    tuple_bytes;
+    columns = Array.init (Schema.arity schema) (fun _ -> Atomic.make Unbuilt);
+  }
 
 let uid t = t.uid
 let schema t = t.schema
@@ -81,5 +95,37 @@ let fold f acc t =
 
 let to_list t =
   List.concat_map Array.to_list (Array.to_list t.blocks)
+
+let build_column t i =
+  let col = Array.make t.n_tuples 0 in
+  match
+    Array.iteri
+      (fun b block ->
+        Array.iteri
+          (fun j tuple ->
+            match Tuple.get tuple i with
+            | Value.Int v -> col.((b * t.blocking_factor) + j) <- v
+            | Value.Float _ | Value.String _ | Value.Bool _ | Value.Null ->
+                raise_notrace Exit)
+          block)
+      t.blocks
+  with
+  | () -> Some col
+  | exception Exit -> None
+
+(* Several engines may share one catalog from their own domains, so the
+   column is published through its atomic cell: a domain that loses the
+   race drops its own (equal) build and takes the published one. *)
+let int_column t i =
+  if i < 0 || i >= Array.length t.columns then
+    invalid_arg "Heap_file.int_column: attribute out of range";
+  let cell = t.columns.(i) in
+  match Atomic.get cell with
+  | Built col -> col
+  | Unbuilt -> (
+      let col = build_column t i in
+      if Atomic.compare_and_set cell Unbuilt (Built col) then col
+      else
+        match Atomic.get cell with Built col -> col | Unbuilt -> assert false)
 
 let pages_for t n = (n + t.blocking_factor - 1) / t.blocking_factor

@@ -39,6 +39,16 @@ val block : t -> int -> Tuple.t array
 val read_block : Device.t -> t -> int -> Tuple.t array
 (** {!block} plus the device charge for one block read. *)
 
+val int_column : t -> int -> int array option
+(** The values of attribute [i] as one flat array indexed by row id
+    (block [b]'s [j]th tuple is row [b * blocking_factor + j]), or
+    [None] if any of them is not an [Int]. Built on the first call for
+    [i] and kept for the file's lifetime; creating the file builds
+    none. Safe to call from several domains at once: every caller gets
+    the one published array. Build it on the domain that owns the
+    query, not inside a pool job, which would pay the build on a
+    worker. @raise Invalid_argument on an out-of-range position. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val to_list : t -> Tuple.t list

@@ -1018,6 +1018,267 @@ let test_pricer_allocates_less () =
       ("inflated", Staged.Inflated { d_beta = 1.645; zero_beta = 0.05 });
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Leaf columns and COUNT roots                                        *)
+
+module Stage_set = Taqp_sampling.Stage_set
+module Generator = Taqp_workload.Generator
+module Aggregate = Taqp_core.Aggregate
+module Report = Taqp_core.Report
+
+(* Two relations over [Generator.schema] (id, sel, key, grp), keyed in
+   groups of three; [c] shares 150 of [a]'s tuples. *)
+let col_catalog =
+  lazy
+    (let rng = Fixtures.Prng.create 23 in
+     let spec = Fixtures.spec ~n_tuples:300 () in
+     let rel () = Generator.relation ~spec ~key:(fun i -> i / 3) ~rng () in
+     let a = rel () and b = rel () in
+     let c = Generator.partial_copy ~rng ~keep:150 ~fresh_ids_from:300 a in
+     Catalog.of_list [ ("a", a); ("b", b); ("c", c) ])
+
+(* The engine's leaf delta and its row ids: a cluster unit [u] is rows
+   [u * bf] up to the block's end, an SRS unit is its own row, and the
+   delta concatenates the units in draw order. *)
+let leaf_delta file ~per_unit units =
+  let n = Heap_file.n_tuples file and bf = Heap_file.blocking_factor file in
+  let rows =
+    List.concat_map
+      (fun u ->
+        let lo = u * per_unit in
+        List.init (Int.min per_unit (n - lo)) (fun j -> lo + j))
+      units
+  in
+  let tuple r = (Heap_file.block file (r / bf)).(r mod bf) in
+  (Array.of_list (List.map tuple rows), rows)
+
+(* The key ints of [rows], row-major, read from the int columns. *)
+let column_keys file key rows =
+  let cols =
+    Array.map (fun i -> Option.get (Heap_file.int_column file i)) key
+  in
+  Array.of_list
+    (List.concat_map
+       (fun r -> Array.to_list (Array.map (fun col -> col.(r)) cols))
+       rows)
+
+let same_run (a : Sorted_run.t) (b : Sorted_run.t) =
+  Array.length a.Sorted_run.tuples = Array.length b.Sorted_run.tuples
+  && Array.for_all2 ( == ) a.Sorted_run.tuples b.Sorted_run.tuples
+  && a.Sorted_run.keys = b.Sorted_run.keys
+
+let prop_sort_keys_from_columns =
+  let key_gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun w ->
+      shuffle_l [ 0; 1; 2; 3 ] >|= List.filteri (fun i _ -> i < w))
+  in
+  QCheck.Test.make
+    ~name:"Sorted_run.sort ~keys from columns = sort on leaf deltas"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (srs, key, seed) ->
+         Fmt.str "%s key=[%s] seed=%d"
+           (if srs then "srs" else "cluster")
+           (String.concat ";" (List.map string_of_int key))
+           seed)
+       QCheck.Gen.(triple bool key_gen (int_range 0 10_000)))
+    (fun (srs, key, seed) ->
+      let key = Array.of_list key in
+      let file = Catalog.find (Lazy.force col_catalog) "a" in
+      let per_unit, n_units =
+        if srs then (1, Heap_file.n_tuples file)
+        else (Heap_file.blocking_factor file, Heap_file.n_blocks file)
+      in
+      let units = Stage_set.create ~n_units (Fixtures.Prng.create seed) in
+      let cmp = Ops.key_comparator ~arity:4 key in
+      List.for_all
+        (fun k ->
+          let delta, rows =
+            leaf_delta file ~per_unit (Stage_set.draw_stage units ~k)
+          in
+          same_run
+            (Sorted_run.sort ~keys:(column_keys file key rows) ~key ~cmp delta)
+            (Sorted_run.sort ~key ~cmp delta))
+        [ 1; 7; 3 * per_unit; n_units ])
+
+let col_config ~unit_kind ~domains =
+  {
+    Config.default with
+    Config.physical = Config.Sort_merge;
+    plan = { Plan.unit_kind; fulfillment = Plan.Full };
+    domains;
+  }
+
+let col_queries =
+  let r name = Ra.relation ~alias:name name in
+  let ab = Ra.Join (eq "a.key" "b.key", r "a", r "b") in
+  let lt x y = Predicate.Cmp (Predicate.Lt, x, y) in
+  [
+    ("join", ab);
+    ( "join+residual",
+      Ra.Join
+        ( Predicate.And
+            ( eq "a.key" "b.key",
+              lt (Predicate.Attr "a.sel") (Predicate.Attr "b.sel") ),
+          r "a",
+          r "b" ) );
+    ("intersect", Ra.Intersect (r "a", r "c"));
+    ("3-way join", Ra.Join (eq "b.key" "c.key", ab, r "c"));
+    ( "select-join",
+      Ra.Join
+        ( eq "a.key" "b.key",
+          Ra.Select
+            ( lt (Predicate.Attr "a.sel") (Predicate.Const (Value.Int 150)),
+              r "a" ),
+          r "b" ) );
+  ]
+
+let unit_kinds = [ ("cluster", Plan.Cluster); ("srs", Plan.Simple_random) ]
+
+(* With the cache on, a leaf-fed sort stores the run it built from
+   column keys under its stage's slice of the shared prefix: that run
+   equals the tuple-keyed sort of the stage's delta. *)
+let test_cached_runs_from_columns () =
+  let catalog = Lazy.force col_catalog in
+  let check_query (kind_name, unit_kind) (qname, right, key) =
+    let cache = Cache.create ~budget_mb:64.0 () in
+    let staged =
+      Staged.compile ~cache ~catalog
+        ~config:(col_config ~unit_kind ~domains:1)
+        ~rng:(Fixtures.Prng.create 3) ~cost_model:(Cost_model.create ())
+        (List.assoc qname col_queries)
+    in
+    let _, device = Fixtures.quiet_device () in
+    let kind =
+      if unit_kind = Plan.Cluster then Cache.Blocks else Cache.Tuples
+    in
+    let cmp = Ops.key_comparator ~arity:4 key in
+    let checked = ref 0 in
+    (* each of [rel]'s stages, as prefix offsets [lo, lo + size) *)
+    let check_side snap rel deltas =
+      let scan =
+        List.find (fun s -> s.Staged.sn_relation = rel) snap.Staged.sn_scans
+      in
+      let file = Catalog.find catalog rel in
+      let sizes =
+        List.rev_map List.length scan.Staged.sn_units.Stage_set.d_stages_rev
+      in
+      ignore
+        (List.fold_left2
+           (fun lo size delta ->
+             let hi = lo + size in
+             (match Cache.find_sorted_run cache ~file ~kind ~lo ~hi ~key with
+             | Some run ->
+                 incr checked;
+                 checkb
+                   (Printf.sprintf "%s %s %s [%d,%d)" kind_name qname rel lo hi)
+                   true
+                   (same_run run (Sorted_run.sort ~key ~cmp delta))
+             | None -> ());
+             hi)
+           0 sizes deltas)
+    in
+    for _ = 1 to 4 do
+      ignore (Staged.run_stage staged ~device ~f:0.05);
+      let snap = Staged.snapshot staged in
+      match (List.hd snap.Staged.sn_terms).Staged.tn_root.Staged.ns_kind with
+      | Staged.Ns_binary { nb_deltas_l; nb_deltas_r; _ } ->
+          check_side snap "a" nb_deltas_l;
+          check_side snap right nb_deltas_r
+      | _ -> Alcotest.fail "the root is a binary operator"
+    done;
+    checkb
+      (Printf.sprintf "%s %s: runs were cached" kind_name qname)
+      true (!checked >= 8)
+  in
+  List.iter
+    (fun unit_kind ->
+      List.iter (check_query unit_kind)
+        [ ("join", "b", [| 2 |]); ("intersect", "c", [| 0; 1; 2; 3 |]) ])
+    unit_kinds
+
+(* Per stage, the operators' counts, the trace (every charge, with its
+   clock reading and arguments), the I/O counters of one run, and the
+   root's output at its last stage. *)
+let count_root_run ~unit_kind ~domains ~cache ~aggregate query =
+  let clock = Fixtures.Clock.create_virtual () in
+  let sink, events = Taqp_obs.Sink.memory () in
+  let tracer =
+    Taqp_obs.Tracer.make ~now:(fun () -> Fixtures.Clock.now clock) ~sink
+  in
+  let device =
+    Fixtures.Device.create
+      ~params:(Fixtures.Cost_params.no_jitter Fixtures.Cost_params.default)
+      ~tracer clock
+  in
+  let staged =
+    Staged.compile ~aggregate
+      ?cache:(if cache then Some (Cache.create ~budget_mb:64.0 ()) else None)
+      ~catalog:(Lazy.force col_catalog)
+      ~config:(col_config ~unit_kind ~domains)
+      ~rng:(Fixtures.Prng.create 11) ~cost_model:(Cost_model.create ())
+      query
+  in
+  let snapshot (o : Report.op_snapshot) =
+    Fmt.str "%s:%.17g/%.17g" o.Report.op_label o.Report.tuples_seen
+      o.Report.points_seen
+  in
+  (* the root's snapshot comes first *)
+  let root_out = ref 0.0 in
+  let stages =
+    List.init 5 (fun _ ->
+        match Staged.run_stage staged ~device ~f:0.08 with
+        | None -> "exhausted"
+        | Some r ->
+            root_out := (List.hd r.Staged.op_snapshots).Report.tuples_seen;
+            String.concat " " (List.map snapshot r.Staged.op_snapshots))
+  in
+  Taqp_obs.Tracer.close tracer;
+  let trace =
+    List.map
+      (fun ev -> Taqp_obs.Json.to_string (Taqp_obs.Event.to_json ev))
+      (events ())
+  in
+  ( stages,
+    trace,
+    Fmt.str "%a" Io_stats.pp (Fixtures.Device.stats device),
+    !root_out )
+
+(* A COUNT root counts its sort-merge output instead of building it; a
+   SUM root over the same query builds it. Both must see the same
+   counts, the same residual checks and the same charges. *)
+let test_count_root_matches_materializing () =
+  let check (kind_name, unit_kind) (qname, query) (domains, cache) =
+    let name =
+      Printf.sprintf "%s %s domains=%d cache=%b" qname kind_name domains cache
+    in
+    let run aggregate =
+      count_root_run ~unit_kind ~domains ~cache ~aggregate query
+    in
+    let c_stages, c_trace, c_io, c_out = run Aggregate.Count in
+    let s_stages, s_trace, s_io, _ = run (Aggregate.Sum "a.grp") in
+    let check_strings = Alcotest.(check (list string)) in
+    check_strings (name ^ ": per-stage counts") s_stages c_stages;
+    checki (name ^ ": trace length") (List.length s_trace)
+      (List.length c_trace);
+    check_strings (name ^ ": charge stream") s_trace c_trace;
+    Alcotest.(check string) (name ^ ": io") s_io c_io;
+    checkb (name ^ ": the root produced output") true (c_out > 0.0)
+  in
+  Staged.set_parallel_threshold 1;
+  Fun.protect
+    ~finally:(fun () -> Staged.set_parallel_threshold 2048)
+    (fun () ->
+      List.iter
+        (fun unit_kind ->
+          List.iter
+            (fun query ->
+              List.iter (check unit_kind query)
+                [ (1, false); (1, true); (2, false) ])
+            col_queries)
+        unit_kinds)
+
 let () =
   Alcotest.run "physical"
     [
@@ -1069,5 +1330,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_pricer_matches_plans;
           Alcotest.test_case "allocates a fifth" `Quick
             test_pricer_allocates_less;
+        ] );
+      ( "columns",
+        [
+          QCheck_alcotest.to_alcotest prop_sort_keys_from_columns;
+          Alcotest.test_case "cached runs from columns" `Quick
+            test_cached_runs_from_columns;
+          Alcotest.test_case "COUNT root = materializing root" `Quick
+            test_count_root_matches_materializing;
         ] );
     ]

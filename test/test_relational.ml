@@ -84,6 +84,119 @@ let test_predicate_shape_helpers () =
   checki "equi pairs" 2 (List.length (equi_join_pairs p));
   checki "residual comparisons" 1 (comparisons (residual_of_equi p))
 
+(* The column form of a predicate against the tuple form: rows of three
+   int attributes held as columns, and random and/or/not trees over all
+   six operators with attribute-attribute and attribute-constant
+   comparisons, the int extremes among the values. *)
+let schema_abc =
+  Schema.make
+    (List.map (fun name -> { Schema.name; ty = Value.Tint }) [ "a"; "b"; "c" ])
+
+let row_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-3) 3);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+      ])
+
+let int_pred_gen =
+  let open QCheck.Gen in
+  let operand =
+    frequency
+      [
+        (3, map (fun a -> Predicate.Attr a) (oneofl [ "a"; "b"; "c" ]));
+        (2, map (fun v -> Predicate.Const (Value.Int v)) row_value_gen);
+      ]
+  in
+  let cmp =
+    map3
+      (fun op x y -> Predicate.Cmp (op, x, y))
+      (oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ])
+      operand operand
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then
+           frequency [ (8, cmp); (1, oneofl Predicate.[ True; False ]) ]
+         else
+           let sub = self (depth - 1) in
+           frequency
+             [
+               (2, cmp);
+               (2, map2 (fun p q -> Predicate.And (p, q)) sub sub);
+               (2, map2 (fun p q -> Predicate.Or (p, q)) sub sub);
+               (1, map (fun p -> Predicate.Not p) sub);
+             ])
+
+let prop_compile_rows_matches_compile =
+  QCheck.Test.make ~name:"Predicate.compile_rows = compile on every row"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (pred, rows) ->
+         Fmt.str "%a over %d rows" Predicate.pp pred (List.length rows))
+       QCheck.Gen.(
+         pair int_pred_gen
+           (list_size (int_range 1 30)
+              (triple row_value_gen row_value_gen row_value_gen))))
+    (fun (pred, rows) ->
+      let rows = Array.of_list rows in
+      let cols =
+        [|
+          Array.map (fun (a, _, _) -> a) rows;
+          Array.map (fun (_, b, _) -> b) rows;
+          Array.map (fun (_, _, c) -> c) rows;
+        |]
+      in
+      let by_tuple = Predicate.compile schema_abc pred in
+      let column i = Some cols.(i) in
+      match Predicate.compile_rows schema_abc ~column pred with
+      | None -> false
+      | Some by_row ->
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun r (a, b, c) ->
+                 by_row r
+                 = by_tuple
+                     (Tuple.of_list [ Value.Int a; Value.Int b; Value.Int c ]))
+               rows))
+
+(* Every shape outside int attributes against int attributes or int
+   constants has no column form. *)
+let test_compile_rows_shapes () =
+  let open Predicate in
+  let schema =
+    Schema.make
+      [
+        { Schema.name = "a"; ty = Value.Tint };
+        { Schema.name = "x"; ty = Value.Tfloat };
+        { Schema.name = "s"; ty = Value.Tstring };
+        { Schema.name = "n"; ty = Value.Tint };
+      ]
+  in
+  (* [n] is an int attribute whose column is missing (a null in it) *)
+  let column = function 0 -> Some [| 1; 5 |] | _ -> None in
+  let rows p = compile_rows schema ~column p in
+  let lt a b = Cmp (Lt, a, b) in
+  List.iter
+    (fun (name, p) -> checkb name true (rows p = None))
+    [
+      ("float constant", lt (Attr "a") (Const (Value.Float 1.5)));
+      ("float attribute", lt (Attr "x") (Attr "a"));
+      ("string", Cmp (Eq, Attr "s", Const (Value.String "x")));
+      ("null constant", Cmp (Eq, Attr "a", Const Value.Null));
+      ( "arithmetic",
+        lt (Add (Attr "a", Const (Value.Int 1))) (Const (Value.Int 3)) );
+      ("attribute without a column", lt (Attr "n") (Const (Value.Int 3)));
+      ( "one bad comparison under and",
+        And
+          ( lt (Attr "a") (Const (Value.Int 3)),
+            Not (lt (Attr "x") (Attr "a")) ) );
+    ];
+  match rows (Or (Not (lt (Const (Value.Int 3)) (Attr "a")), False)) with
+  | None -> Alcotest.fail "an int comparison has a column form"
+  | Some test -> checkb "row tests" true (test 0 && not (test 1))
+
 (* ------------------------------------------------------------------ *)
 (* Ops against brute force                                             *)
 
@@ -407,6 +520,9 @@ let () =
           Alcotest.test_case "null semantics" `Quick test_predicate_null_semantics;
           Alcotest.test_case "typechecking" `Quick test_predicate_typecheck;
           Alcotest.test_case "shape helpers" `Quick test_predicate_shape_helpers;
+          QCheck_alcotest.to_alcotest prop_compile_rows_matches_compile;
+          Alcotest.test_case "column form shapes" `Quick
+            test_compile_rows_shapes;
         ] );
       ( "ops",
         [

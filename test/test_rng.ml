@@ -25,6 +25,68 @@ let test_split_diverges () =
   let child = Prng.split rng in
   checkb "parent and child differ" true (stream rng 20 <> stream child 20)
 
+(* The first draws of two seeds, as the generator produced them when it
+   kept its state in four mutable int64 fields: how the state is stored
+   must not change the stream. *)
+let test_pinned_streams () =
+  let check_stream seed ~bits ~ints ~split =
+    let rng = Prng.create seed in
+    Alcotest.check
+      Alcotest.(list int64)
+      (Printf.sprintf "seed %d bits64" seed)
+      bits
+      (List.init 3 (fun _ -> Prng.bits64 rng));
+    Alcotest.check
+      Alcotest.(list int)
+      (Printf.sprintf "seed %d int" seed)
+      ints
+      (List.init 5 (fun _ -> Prng.int rng 1_000_000));
+    Alcotest.check Alcotest.int64
+      (Printf.sprintf "seed %d split child" seed)
+      split
+      (Prng.bits64 (Prng.split (Prng.create seed)))
+  in
+  check_stream 42
+    ~bits:[ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ]
+    ~ints:[ 531048; 329369; 437646; 550188; 453601 ]
+    ~split:(-8150312660505607085L);
+  check_stream 1989
+    ~bits:[ -8899855226244593288L; 2067129308880673709L; -2335416547951080414L ]
+    ~ints:[ 715002; 492657; 884450; 659781; 604069 ]
+    ~split:824078940986999570L
+
+(* [state]/[set_state], [copy] and [split] round trips: a generator set
+   to another's state, or copied from it, continues its stream; a split
+   child depends only on the parent's state at the split. *)
+let test_state_round_trips () =
+  let rng = Prng.create 99 in
+  ignore (stream rng 7);
+  let saved = Prng.state rng in
+  let expect = stream rng 20 in
+  let other = Prng.create 1 in
+  Prng.set_state other saved;
+  Alcotest.check Alcotest.(list int) "set_state resumes the stream" expect
+    (stream other 20);
+  checkb "state after equal draws" true (Prng.state other = Prng.state rng);
+  Prng.set_state rng saved;
+  checkb "state reads back what was set" true (Prng.state rng = saved);
+  let clone = Prng.copy rng in
+  Alcotest.check Alcotest.(list int) "copy continues identically"
+    (stream rng 20) (stream clone 20);
+  ignore (stream clone 3);
+  checkb "a copy is independent" true (Prng.state clone <> Prng.state rng);
+  Prng.set_state rng saved;
+  let child = Prng.split rng in
+  let after_split = Prng.state rng in
+  Prng.set_state rng saved;
+  let child' = Prng.split rng in
+  Alcotest.check Alcotest.(list int) "split from one state, one child"
+    (stream child 20) (stream child' 20);
+  checkb "split advances the parent once" true (Prng.state rng = after_split);
+  Prng.set_state rng saved;
+  ignore (Prng.bits64 rng);
+  checkb "by exactly one draw" true (Prng.state rng = after_split)
+
 let test_int_errors () =
   let rng = Prng.create 1 in
   Alcotest.check_raises "zero bound"
@@ -251,6 +313,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_copy;
           Alcotest.test_case "split diverges" `Quick test_split_diverges;
           Alcotest.test_case "int errors" `Quick test_int_errors;
+          Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+          Alcotest.test_case "state round trips" `Quick test_state_round_trips;
           Alcotest.test_case "int_in bounds" `Quick test_int_in_bounds;
           Alcotest.test_case "bool balance" `Quick test_bool_both;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;

@@ -373,6 +373,90 @@ let test_heap_read_block_charges () =
   checki "one read" 1 (Io_stats.blocks_read (Device.stats d));
   checkf 1e-9 "charged" Cost_params.default.Cost_params.block_read (Clock.now clock)
 
+(* Row [b * blocking_factor + j] is block [b]'s [j]th tuple. A column
+   exists only while every value of its attribute is an [Int]: a float,
+   string or bool attribute has none, and one null in an int attribute
+   takes its column away. *)
+let test_heap_int_column () =
+  let mixed =
+    Schema.make
+      [
+        { Schema.name = "id"; ty = Value.Tint };
+        { Schema.name = "f"; ty = Value.Tfloat };
+        { Schema.name = "s"; ty = Value.Tstring };
+        { Schema.name = "b"; ty = Value.Tbool };
+        { Schema.name = "n"; ty = Value.Tint };
+      ]
+  in
+  let n = 23 in
+  let values i =
+    [
+      Value.Int
+        (match i with 3 -> min_int | 4 -> max_int | _ -> (i * 7919) - 50);
+      Value.Float (float_of_int i);
+      Value.String "x";
+      Value.Bool (i mod 2 = 0);
+      (if i = 17 then Value.Null else Value.Int i);
+    ]
+  in
+  let f =
+    Heap_file.create ~tuple_bytes:100 ~schema:mixed
+      (List.init n (fun i -> Tuple.of_list (values i)))
+  in
+  let bf = Heap_file.blocking_factor f in
+  match Heap_file.int_column f 0 with
+  | None -> Alcotest.fail "an all-int attribute has a column"
+  | Some col ->
+      checki "one int per tuple" n (Array.length col);
+      for b = 0 to Heap_file.n_blocks f - 1 do
+        Array.iteri
+          (fun j t ->
+            checkb "row value" true
+              (Value.equal (Tuple.get t 0) (Value.Int col.((b * bf) + j))))
+          (Heap_file.block f b)
+      done;
+      checkb "extremes kept" true (col.(3) = min_int && col.(4) = max_int);
+      checkb "the same array on a second call" true
+        (match Heap_file.int_column f 0 with
+        | Some c -> c == col
+        | None -> false);
+      List.iter
+        (fun (name, i) ->
+          checkb (name ^ ": no column") true (Heap_file.int_column f i = None))
+        [ ("float", 1); ("string", 2); ("bool", 3); ("int with a null", 4) ];
+      Alcotest.check_raises "bad position"
+        (Invalid_argument "Heap_file.int_column: attribute out of range")
+        (fun () -> ignore (Heap_file.int_column f 5))
+
+(* Engines on several domains may take one relation's column for the
+   first time at once: each gets the published array, equal to a build
+   on one domain, and nothing raises. *)
+let test_heap_int_column_domains () =
+  let rows = 20_000 in
+  for round = 1 to 5 do
+    let f = Heap_file.create ~schema (tuples rows) in
+    let go = Atomic.make false in
+    let take () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      Heap_file.int_column f 1
+    in
+    let ds = List.init 2 (fun _ -> Domain.spawn take) in
+    Atomic.set go true;
+    let cols = List.map Domain.join ds in
+    let expect = Array.init rows (fun i -> i * i) in
+    List.iter
+      (fun col ->
+        checkb (Printf.sprintf "round %d: equal to the values" round) true
+          (col = Some expect))
+      cols;
+    checkb (Printf.sprintf "round %d: one published array" round) true
+      (match (cols, Heap_file.int_column f 1) with
+      | [ Some a; Some b ], Some c -> a == c && b == c
+      | _ -> false)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Catalog                                                             *)
 
@@ -523,6 +607,9 @@ let () =
           Alcotest.test_case "fold/iter" `Quick test_heap_fold_iter;
           Alcotest.test_case "errors" `Quick test_heap_errors;
           Alcotest.test_case "read_block charges" `Quick test_heap_read_block_charges;
+          Alcotest.test_case "int columns" `Quick test_heap_int_column;
+          Alcotest.test_case "int column from two domains" `Quick
+            test_heap_int_column_domains;
         ] );
       ("catalog", [ Alcotest.test_case "operations" `Quick test_catalog ]);
       ( "csv",
