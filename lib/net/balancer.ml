@@ -16,7 +16,9 @@
    terminal record for an id wins and later arrivals (replays, races)
    are dropped, so a client never sees two terminals for one job.
 
-   Two modes share this file:
+   Two modes share this file and one tier core (the first-terminal
+   table, the pick, the unavailable price, the journal replay and the
+   books):
 
    - {!Cluster} — N in-process {!Taqp_sched.Engine}s on synchronized
      virtual clocks. Fully deterministic (no sockets, no wall time):
@@ -25,8 +27,8 @@
      list, so its reports and summary are byte-identical to a direct
      serve — the acceptance anchor bench --ha pins.
 
-   - {!Proxy} — a real [Unix.select] event loop fronting N backend
-     *processes* over TAQPNET1 ([taqp balance]). The proxy is
+   - {!Proxy} — the shared {!Loop} fronting N backend *processes*
+     over TAQPNET1 ([taqp balance]). The proxy is
      catalog-free: it never parses a job line, it forwards SUBMIT
      frames verbatim and rewrites only job ids (backends number their
      own jobs from 0; the proxy owns the global id space).
@@ -135,6 +137,100 @@ let lost_record ~id ~label ~now : Sched_journal.done_record =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The tier core: what both modes do the same way, whether a backend
+   is an in-process engine or a socket. *)
+
+(* The dedupe rule: the first terminal record for a job id wins and
+   later arrivals (replays, races) are dropped, so a client never sees
+   two terminals for one job. [true] when [d] was the first. *)
+let first_terminal terminal (d : Sched_journal.done_record) =
+  (not (Hashtbl.mem terminal d.Sched_journal.d_id))
+  && begin
+       Hashtbl.replace terminal d.Sched_journal.d_id d;
+       true
+     end
+
+(* The tier's books: every terminal record in id order, and their
+   cross-backend summary. *)
+let books ~makespan terminal =
+  let records =
+    Hashtbl.fold (fun _ d acc -> d :: acc) terminal []
+    |> List.sort (fun (a : Sched_journal.done_record) b ->
+           compare a.Sched_journal.d_id b.Sched_journal.d_id)
+  in
+  (records, summarize ~makespan records)
+
+(* Least-priced-backlog routing. [view b] is [None] for a backend that
+   takes no traffic, else its breaker, its overload price (the
+   retry_after an overloaded door would quote) and its queue depth.
+   Among breakers that are not open: closed before half-open (trial
+   traffic), then the smallest price, then the shallowest queue, then
+   the lowest index. *)
+let pick ~now backends view =
+  let best = ref None in
+  Array.iteri
+    (fun i b ->
+      match view b with
+      | None -> ()
+      | Some (breaker, price, depth) -> (
+          match Breaker.state breaker ~now with
+          | Breaker.Open -> ()
+          | st -> (
+              let key =
+                ((if st = Breaker.Closed then 0 else 1), price, depth, i)
+              in
+              match !best with
+              | Some (k, _) when compare k key <= 0 -> ()
+              | _ -> best := Some (key, b))))
+    backends;
+  Option.map snd !best
+
+(* The retry_after quoted when no backend is routable: the shortest
+   breaker cooldown left among the backends [breaker] names, 0 when
+   none is left. *)
+let unavailable_price ~now backends breaker =
+  Array.fold_left
+    (fun acc b ->
+      match breaker b with
+      | Some br -> Float.min acc (Breaker.retry_after br ~now)
+      | None -> acc)
+    infinity backends
+  |> fun p -> if Float.is_finite p then p else 0.0
+
+(* Recovery from a dead backend's journal: read it back (a torn tail
+   or an unreadable file is logged, never raised), hand every terminal
+   [Done] record to [replay], then every [Submitted] line that has no
+   [Done] to [migrate]. *)
+let replay_journal ~index path ~replay ~migrate =
+  let records =
+    match Sched_journal.load path with
+    | Ok l ->
+        Option.iter
+          (fun reason ->
+            Log.warn (fun m -> m "backend %d journal torn: %s" index reason))
+          l.Sched_journal.torn;
+        l.Sched_journal.records
+    | Error e ->
+        Log.err (fun m -> m "backend %d journal unreadable: %s" index e);
+        []
+  in
+  let done_ids = Hashtbl.create 32 in
+  List.iter
+    (function
+      | Sched_journal.Done d ->
+          Hashtbl.replace done_ids d.Sched_journal.d_id ();
+          replay d
+      | _ -> ())
+    records;
+  List.iter
+    (function
+      | Sched_journal.Submitted s
+        when not (Hashtbl.mem done_ids s.Sched_journal.s_id) ->
+          migrate s
+      | _ -> ())
+    records
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic in-process mode. *)
 
 module Cluster = struct
@@ -178,15 +274,16 @@ module Cluster = struct
     mutable finished : bool;
   }
 
-  (* The terminal table is the dedupe rule: first record for an id
-     wins, later arrivals are dropped. The frame stored alongside is
-     the canonical wire bytes a client was (or would be) pushed. *)
+  (* A first terminal record also stores the canonical wire bytes a
+     client was (or would be) pushed. *)
   let push t (d : Sched_journal.done_record) =
-    if not (Hashtbl.mem t.terminal d.Sched_journal.d_id) then begin
-      Hashtbl.replace t.terminal d.Sched_journal.d_id d;
+    if first_terminal t.terminal d then
       Hashtbl.replace t.frames d.Sched_journal.d_id
         (Wire.frame_message (Wire.Result d))
-    end
+
+  let write_off t ~id ~label ~now =
+    push t (lost_record ~id ~label ~now);
+    t.lost <- t.lost + 1
 
   let create ?policy ?admission ?(breaker = fun () -> Breaker.create ())
       ~dir ~backends:n ~catalog ~config () =
@@ -249,62 +346,53 @@ module Cluster = struct
   let alive t i = t.backends.(i).b_alive
   let backend_now t i = Engine.now t.backends.(i).b_engine
 
-  (* Least-priced-backlog routing: prefer closed breakers over
-     half-open (trial traffic), then the smallest overload price —
-     the retry_after an overloaded door would quote — then the
-     shallowest queue, then the lowest index. *)
   let route t ~vnow =
-    let rank b =
-      match Breaker.state b.b_breaker ~now:vnow with
-      | Breaker.Open -> None
-      | (Breaker.Closed | Breaker.Half_open) as st ->
-          if not b.b_alive then None
-          else
-            Some
-              ( (match st with Breaker.Closed -> 0 | _ -> 1),
-                Backpressure.overloaded
-                  ~backlog:(Engine.backlog b.b_engine)
-                  ~queue_len:(Engine.live_count b.b_engine),
-                Engine.live_count b.b_engine + Engine.pending_count b.b_engine,
-                b.b_index )
-    in
-    Array.to_list t.backends
-    |> List.filter_map (fun b -> Option.map (fun k -> (k, b)) (rank b))
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> function
-    | [] -> None
-    | (_, b) :: _ -> Some b
+    pick ~now:vnow t.backends (fun b ->
+        if not b.b_alive then None
+        else
+          Some
+            ( b.b_breaker,
+              Backpressure.overloaded
+                ~backlog:(Engine.backlog b.b_engine)
+                ~queue_len:(Engine.live_count b.b_engine),
+              Engine.live_count b.b_engine + Engine.pending_count b.b_engine ))
 
-  let unavailable_price t ~vnow =
-    Array.fold_left
-      (fun acc b ->
-        if b.b_alive then
-          Float.min acc (Breaker.retry_after b.b_breaker ~now:vnow)
-        else acc)
-      infinity t.backends
-    |> fun p -> if Float.is_finite p then p else 0.0
+  (* Door-journal [job] at [b] — an uncharged append, mirroring the
+     socket server's door journaling — then hand it to the engine. *)
+  let enqueue t b (job : Job.t) =
+    Journal.append b.b_journal
+      (Sched_journal.encode
+         (Sched_journal.Submitted
+            {
+              s_id = job.Job.id;
+              s_label = job.Job.label;
+              s_client = b.b_index;
+              s_line = Job.to_line job;
+              s_now = Engine.now b.b_engine;
+            }));
+    Engine.submit b.b_engine job;
+    t.routed <- (job.Job.id, b.b_index) :: t.routed
 
   (* One SUBMIT: parse (the cluster is its own door), route, stamp the
-     wire offsets against cluster now, journal the door-level
-     [Submitted] line — an uncharged append, mirroring the socket
-     server's door journaling — then hand it to the engine. *)
+     wire offsets against cluster now, then enqueue. *)
   let submit t line =
     if t.finished then invalid_arg "Cluster.submit: already drained";
+    let reject reason retry_after =
+      t.door_rejects <- t.door_rejects + 1;
+      `Rejected (reason, retry_after)
+    in
     match
       Job.of_line ~catalog:t.catalog ~config:t.config ~id:t.next_id line
     with
-    | Error m ->
-        t.door_rejects <- t.door_rejects + 1;
-        `Rejected ("parse: " ^ m, 0.0)
-    | Ok None ->
-        t.door_rejects <- t.door_rejects + 1;
-        `Rejected ("blank job line", 0.0)
+    | Error m -> reject ("parse: " ^ m) 0.0
+    | Ok None -> reject "blank job line" 0.0
     | Ok (Some job) -> (
         let vnow = now t in
         match route t ~vnow with
         | None ->
-            t.door_rejects <- t.door_rejects + 1;
-            `Rejected ("unavailable", unavailable_price t ~vnow)
+            reject "unavailable"
+              (unavailable_price ~now:vnow t.backends (fun b ->
+                   if b.b_alive then Some b.b_breaker else None))
         | Some b ->
             let job =
               {
@@ -314,19 +402,8 @@ module Cluster = struct
               }
             in
             t.next_id <- t.next_id + 1;
-            Journal.append b.b_journal
-              (Sched_journal.encode
-                 (Sched_journal.Submitted
-                    {
-                      s_id = job.Job.id;
-                      s_label = job.Job.label;
-                      s_client = b.b_index;
-                      s_line = Job.to_line job;
-                      s_now = Engine.now b.b_engine;
-                    }));
-            Engine.submit b.b_engine job;
+            enqueue t b job;
             b.b_submitted <- b.b_submitted + 1;
-            t.routed <- (job.Job.id, b.b_index) :: t.routed;
             `Queued (job.Job.id, b.b_index))
 
   (* Step the least-advanced live engine first, repeatedly — a
@@ -364,18 +441,16 @@ module Cluster = struct
 
   (* Migrate one unfinished journaled line to a survivor: re-parse the
      absolute-times line, push its arrival to crash + downtime
-     (deadline untouched — downtime expires what it expires), journal
-     it at the survivor's door and submit. *)
+     (deadline untouched — downtime expires what it expires), and
+     enqueue it there. *)
   let migrate t ~crash_now ~downtime (s : Sched_journal.submitted_record) =
     match
       Job.of_line ~catalog:t.catalog ~config:t.config ~id:s.Sched_journal.s_id
         s.Sched_journal.s_line
     with
     | Error _ | Ok None ->
-        push t
-          (lost_record ~id:s.Sched_journal.s_id ~label:s.Sched_journal.s_label
-             ~now:crash_now);
-        t.lost <- t.lost + 1
+        write_off t ~id:s.Sched_journal.s_id ~label:s.Sched_journal.s_label
+          ~now:crash_now
     | Ok (Some job) -> (
         let job =
           {
@@ -384,25 +459,11 @@ module Cluster = struct
           }
         in
         match route t ~vnow:(now t) with
-        | None ->
-            push t
-              (lost_record ~id:job.Job.id ~label:job.Job.label ~now:crash_now);
-            t.lost <- t.lost + 1
+        | None -> write_off t ~id:job.Job.id ~label:job.Job.label ~now:crash_now
         | Some b ->
-            Journal.append b.b_journal
-              (Sched_journal.encode
-                 (Sched_journal.Submitted
-                    {
-                      s_id = job.Job.id;
-                      s_label = job.Job.label;
-                      s_client = b.b_index;
-                      s_line = Job.to_line job;
-                      s_now = Engine.now b.b_engine;
-                    }));
-            Engine.submit b.b_engine job;
+            enqueue t b job;
             b.b_migrated_in <- b.b_migrated_in + 1;
-            t.migrated <- t.migrated + 1;
-            t.routed <- (job.Job.id, b.b_index) :: t.routed)
+            t.migrated <- t.migrated + 1)
 
   (* Kill a backend abruptly. Its engine is abandoned mid-flight (jobs
      and all); recovery works purely from its journal, exactly as a
@@ -418,82 +479,32 @@ module Cluster = struct
     b.b_crashed_at <- Engine.now b.b_engine;
     Breaker.force_open b.b_breaker ~now:crash_now;
     Journal.close b.b_journal;
-    let records =
-      match Sched_journal.load b.b_path with
-      | Ok l ->
-          (match l.Sched_journal.torn with
-          | Some reason ->
-              Log.warn (fun m -> m "backend %d journal torn: %s" i reason)
-          | None -> ());
-          l.Sched_journal.records
-      | Error e ->
-          Log.err (fun m -> m "backend %d journal unreadable: %s" i e);
-          []
-    in
-    let done_ids = Hashtbl.create 32 in
-    List.iter
-      (function
-        | Sched_journal.Done d ->
-            Hashtbl.replace done_ids d.Sched_journal.d_id ();
-            let frame = Wire.frame_message (Wire.Result d) in
-            let identical =
-              match Hashtbl.find_opt t.frames d.Sched_journal.d_id with
-              | Some live -> String.equal live frame
-              | None ->
-                  (* the live push never made it out — the replay fills
-                     the gap, trivially identical to itself *)
-                  push t d;
-                  true
-            in
-            t.replays <- (d.Sched_journal.d_id, identical) :: t.replays
-        | _ -> ())
-      records;
-    List.iter
-      (function
-        | Sched_journal.Submitted s
-          when (not (Hashtbl.mem done_ids s.Sched_journal.s_id))
-               && not (Hashtbl.mem t.terminal s.Sched_journal.s_id) ->
-            if failover then migrate t ~crash_now ~downtime s
-            else begin
-              push t
-                (lost_record ~id:s.Sched_journal.s_id
-                   ~label:s.Sched_journal.s_label ~now:crash_now);
-              t.lost <- t.lost + 1
-            end
-        | _ -> ())
-      records
+    replay_journal ~index:i b.b_path
+      ~replay:(fun d ->
+        let identical =
+          match Hashtbl.find_opt t.frames d.Sched_journal.d_id with
+          | Some live ->
+              String.equal live (Wire.frame_message (Wire.Result d))
+          | None ->
+              (* the live push never made it out — the replay fills
+                 the gap, trivially identical to itself *)
+              push t d;
+              true
+        in
+        t.replays <- (d.Sched_journal.d_id, identical) :: t.replays)
+      ~migrate:(fun s ->
+        if not (Hashtbl.mem t.terminal s.Sched_journal.s_id) then
+          if failover then migrate t ~crash_now ~downtime s
+          else
+            write_off t ~id:s.Sched_journal.s_id ~label:s.Sched_journal.s_label
+              ~now:crash_now)
 
   let frame t ~id = Hashtbl.find_opt t.frames id
 
   let drain t =
     if t.finished then invalid_arg "Cluster.drain: already drained";
     t.finished <- true;
-    let has_work b =
-      b.b_alive
-      && (Engine.live_count b.b_engine > 0
-         || Engine.pending_count b.b_engine > 0)
-    in
-    let rec go () =
-      let best =
-        Array.fold_left
-          (fun acc b ->
-            if not (has_work b) then acc
-            else
-              match acc with
-              | Some best
-                when (Engine.now best.b_engine, best.b_index)
-                     <= (Engine.now b.b_engine, b.b_index) ->
-                  acc
-              | _ -> Some b)
-          None t.backends
-      in
-      match best with
-      | None -> ()
-      | Some b ->
-          ignore (Engine.step b.b_engine);
-          go ()
-    in
-    go ();
+    advance t ~upto:infinity;
     let results =
       Array.to_list t.backends
       |> List.filter_map (fun b ->
@@ -515,13 +526,9 @@ module Cluster = struct
              else b.b_crashed_at))
         0.0 t.backends
     in
-    let records =
-      Hashtbl.fold (fun _ d acc -> d :: acc) t.terminal []
-      |> List.sort (fun (a : Sched_journal.done_record) b ->
-             compare a.Sched_journal.d_id b.Sched_journal.d_id)
-    in
+    let records, summary = books ~makespan t.terminal in
     {
-      o_summary = summarize ~makespan records;
+      o_summary = summary;
       o_records = records;
       o_results = results;
       o_replays = List.rev t.replays;
@@ -533,8 +540,8 @@ module Cluster = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Multi-process mode: a select-loop proxy over N backend server
-   processes. *)
+(* Multi-process mode: a proxy over N backend server processes, run on
+   the shared select loop ({!Loop}). *)
 
 module Proxy = struct
   type backend_spec = {
@@ -544,19 +551,15 @@ module Proxy = struct
             migrate its unfinished jobs; [None] = no migration *)
   }
 
-  (* One live backend connection. [k_pending] correlates forwarded
-     SUBMITs with their synchronous QUEUED / door-REJECT replies in
-     FIFO order ([None] = a migration resubmit, no client to tell);
-     [k_cancels] does the same for CANCEL. [k_local] maps the
-     backend's own job ids (each backend numbers from 0) to the
-     proxy's global ids. *)
+  (* One backend connection. [k_pending] correlates forwarded SUBMITs
+     with their synchronous QUEUED / door-REJECT replies in FIFO order
+     ([None] = a migration resubmit, no client to tell); [k_cancels]
+     does the same for CANCEL. [k_local] maps the backend's own job ids
+     (each backend numbers from 0) to the proxy's global ids. *)
   type bstate = {
     k_index : int;
     k_spec : backend_spec;
-    k_fd : Unix.file_descr;
-    k_rd : Wire.reader;
-    k_out : Buffer.t;
-    mutable k_out_off : int;
+    k_peer : Loop.peer;  (* closed = the backend is gone *)
     k_health : Health.t;
     k_pending : (int option * int) Queue.t;  (* conn id option, gid *)
     k_cancels : (int * int * int) Queue.t;  (* local, gid, conn id *)
@@ -565,17 +568,6 @@ module Proxy = struct
     mutable k_hello : bool;
     mutable k_max_pending : int;
     mutable k_summary : Engine.summary option;  (* its DRAIN_DONE *)
-    mutable k_dead : bool;
-  }
-
-  type conn = {
-    c_id : int;
-    c_fd : Unix.file_descr;
-    c_rd : Wire.reader;
-    c_out : Buffer.t;
-    mutable c_out_off : int;
-    mutable c_magic : bool;
-    mutable c_closing : bool;
   }
 
   type entry = {
@@ -585,20 +577,16 @@ module Proxy = struct
   }
 
   type t = {
-    listen_fd : Unix.file_descr;
-    port : int;
+    loop : unit Loop.t;
     backends : bstate array;
     failover : bool;
     downtime : float;
-    conns : (int, conn) Hashtbl.t;
     jobs : (int, entry) Hashtbl.t;  (* gid -> routing entry *)
     terminal : (int, Sched_journal.done_record) Hashtbl.t;  (* by gid *)
     notified : (int, unit) Hashtbl.t;
         (* gids whose terminal verdict already reached the client as an
            admission REJECT — the bookkeeping RESULT must not re-push *)
-    scratch : Bytes.t;
     mutable next_gid : int;
-    mutable next_conn : int;
     mutable draining : bool;
     mutable submitted : int;
     mutable door_rejects : int;
@@ -619,21 +607,13 @@ module Proxy = struct
     p_lost : int;
   }
 
-  let send c msg = Buffer.add_string c.c_out (Wire.frame_message msg)
-  let bsend b msg = Buffer.add_string b.k_out (Wire.frame_message msg)
-
   (* The tier's virtual now: the max reported instant across backends
      (dead ones keep their last report). Breakers cool against this. *)
   let vnow t =
     Array.fold_left (fun acc b -> Float.max acc b.k_now) 0.0 t.backends
 
-  let close_conn t c =
-    if Hashtbl.mem t.conns c.c_id then begin
-      Hashtbl.remove t.conns c.c_id;
-      (try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-    end
-
-  let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+  (* Still part of the tier: connected and not yet drained. *)
+  let serving b = (not (Loop.closed b.k_peer)) && b.k_summary = None
 
   let connect_backend ~index (spec : backend_spec) =
     let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, spec.bs_port) in
@@ -658,14 +638,10 @@ module Proxy = struct
         write_all s (off + Unix.write_substring fd s off (String.length s - off))
     in
     write_all Wire.magic 0;
-    Unix.set_nonblock fd;
     {
       k_index = index;
       k_spec = spec;
-      k_fd = fd;
-      k_rd = Wire.reader ();
-      k_out = Buffer.create 256;
-      k_out_off = 0;
+      k_peer = Loop.peer fd;
       k_health = Health.create ();
       k_pending = Queue.create ();
       k_cancels = Queue.create ();
@@ -674,102 +650,57 @@ module Proxy = struct
       k_hello = false;
       k_max_pending = 0;
       k_summary = None;
-      k_dead = false;
     }
 
-  let create ?(failover = true) ?(downtime = 0.0) ~port ~backends () =
-    if backends = [] then invalid_arg "Proxy.create: no backends";
-    let backends =
-      Array.of_list (List.mapi (fun i s -> connect_backend ~index:i s) backends)
-    in
-    let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-    Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen listen_fd 128;
-    Unix.set_nonblock listen_fd;
-    let port =
-      match Unix.getsockname listen_fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    {
-      listen_fd;
-      port;
-      backends;
-      failover;
-      downtime;
-      conns = Hashtbl.create 16;
-      jobs = Hashtbl.create 64;
-      terminal = Hashtbl.create 64;
-      notified = Hashtbl.create 16;
-      scratch = Bytes.create 8192;
-      next_gid = 0;
-      next_conn = 0;
-      draining = false;
-      submitted = 0;
-      door_rejects = 0;
-      deaths = 0;
-      migrated = 0;
-      replayed = 0;
-      lost = 0;
-    }
+  let port t = Loop.port t.loop
 
-  let port t = t.port
-
-  let routable t b =
-    (not b.k_dead) && b.k_summary = None && b.k_hello
-    && Breaker.state (Health.breaker b.k_health) ~now:(vnow t) <> Breaker.Open
-
-  (* Least-priced-backlog, same ranking as the cluster: closed
-     breakers before half-open trials, then the smallest overload
-     price from the last health snapshot, then the shallowest queue
-     (counting our own in-flight submits), then the lowest index. *)
+  (* The cluster's ranking over the last health snapshot, counting our
+     own in-flight submits in the queue depth. *)
   let route t =
-    Array.to_list t.backends
-    |> List.filter_map (fun b ->
-           if not (routable t b) then None
-           else
-             let st =
-               Breaker.state (Health.breaker b.k_health) ~now:(vnow t)
-             in
-             Some
-               ( ( (match st with Breaker.Closed -> 0 | _ -> 1),
-                   Health.cost b.k_health,
-                   Health.depth b.k_health + Queue.length b.k_pending,
-                   b.k_index ),
-                 b ))
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> function
-    | [] -> None
-    | (_, b) :: _ -> Some b
-
-  let unavailable_price t =
-    let now = vnow t in
-    Array.fold_left
-      (fun acc b ->
-        if b.k_dead || b.k_summary <> None then acc
-        else
-          Float.min acc (Breaker.retry_after (Health.breaker b.k_health) ~now))
-      infinity t.backends
-    |> fun p -> if Float.is_finite p then p else 0.0
+    pick ~now:(vnow t) t.backends (fun b ->
+        if serving b && b.k_hello then
+          Some
+            ( Health.breaker b.k_health,
+              Health.cost b.k_health,
+              Health.depth b.k_health + Queue.length b.k_pending )
+        else None)
 
   let door_reject t c reason retry_after =
     t.door_rejects <- t.door_rejects + 1;
-    send c (Wire.Rejected { job_id = None; reason; retry_after })
+    Loop.reply c (Wire.Rejected { job_id = None; reason; retry_after })
+
+  (* Queue [msg] for the client that owns [gid], if it is still there. *)
+  let notify t gid msg =
+    match Hashtbl.find_opt t.jobs gid with
+    | Some { j_conn = Some cid; _ } -> Loop.send_to t.loop cid msg
+    | _ -> ()
+
+  (* A terminal record under its global id (live push, fetched reject
+     record, journal replay or a write-off), kept by the tier core's
+     first-wins rule and pushed to its client unless an admission
+     REJECT already told it. *)
+  let push_terminal t (d : Sched_journal.done_record) =
+    first_terminal t.terminal d
+    && begin
+         if not (Hashtbl.mem t.notified d.Sched_journal.d_id) then
+           notify t d.Sched_journal.d_id (Wire.Result d);
+         true
+       end
 
   let push_lost t gid ~label =
-    if not (Hashtbl.mem t.terminal gid) then begin
-      let d = lost_record ~id:gid ~label ~now:(vnow t) in
-      Hashtbl.replace t.terminal gid d;
-      t.lost <- t.lost + 1;
-      (match Hashtbl.find_opt t.jobs gid with
-      | Some { j_conn = Some cid; _ } -> (
-          match Hashtbl.find_opt t.conns cid with
-          | Some c when not c.c_closing ->
-              if not (Hashtbl.mem t.notified gid) then send c (Wire.Result d)
-          | _ -> ())
-      | _ -> ())
-    end
+    if push_terminal t (lost_record ~id:gid ~label ~now:(vnow t)) then
+      t.lost <- t.lost + 1
+
+  (* A forwarded SUBMIT that never reached a backend's books: its
+     client is refused as at a door; a migration resubmit is lost. *)
+  let unacked t ~reason ~retry_after (conn_opt, gid) =
+    match conn_opt with
+    | Some cid ->
+        Hashtbl.remove t.jobs gid;
+        t.door_rejects <- t.door_rejects + 1;
+        Loop.send_to t.loop cid
+          (Wire.Rejected { job_id = None; reason; retry_after })
+    | None -> push_lost t gid ~label:"migrated"
 
   (* --- client-facing handling (mirrors Server.handle_msg) --------- *)
 
@@ -777,21 +708,28 @@ module Proxy = struct
     if t.draining then door_reject t c "draining" Backpressure.draining
     else
       match route t with
-      | None -> door_reject t c "unavailable" (unavailable_price t)
+      | None ->
+          door_reject t c "unavailable"
+            (unavailable_price ~now:(vnow t) t.backends (fun b ->
+                 if serving b then Some (Health.breaker b.k_health) else None))
       | Some b ->
           let gid = t.next_gid in
           t.next_gid <- gid + 1;
           t.submitted <- t.submitted + 1;
           Hashtbl.replace t.jobs gid
-            { j_conn = Some c.c_id; j_backend = b.k_index; j_local = None };
-          Queue.add (Some c.c_id, gid) b.k_pending;
-          bsend b (Wire.Submit { line })
+            {
+              j_conn = Some (Loop.id c);
+              j_backend = b.k_index;
+              j_local = None;
+            };
+          Queue.add (Some (Loop.id c), gid) b.k_pending;
+          Loop.send b.k_peer (Wire.Submit { line })
 
   let status_reply t =
     let live = ref 0 and pending = ref 0 and backlog = ref 0.0 in
     Array.iter
       (fun b ->
-        if (not b.k_dead) && b.k_summary = None then begin
+        if serving b then begin
           (match Health.snapshot b.k_health with
           | Some s ->
               live := !live + s.Health.sn_live;
@@ -813,42 +751,40 @@ module Proxy = struct
 
   let handle_msg t c = function
     | Wire.Submit { line } -> handle_submit t c line
-    | Wire.Status -> send c (status_reply t)
+    | Wire.Status -> Loop.reply c (status_reply t)
     | Wire.Fetch { job_id } -> (
         match Hashtbl.find_opt t.terminal job_id with
-        | Some d -> send c (Wire.Result d)
+        | Some d -> Loop.reply c (Wire.Result d)
         | None ->
             let state =
               if job_id >= 0 && job_id < t.next_gid then "queued"
               else "unknown"
             in
-            send c (Wire.Pending { job_id; state }))
+            Loop.reply c (Wire.Pending { job_id; state }))
     | Wire.Cancel { job_id } -> (
         if Hashtbl.mem t.terminal job_id then
-          send c (Wire.Cancelled { job_id; state = "terminal" })
+          Loop.reply c (Wire.Cancelled { job_id; state = "terminal" })
         else
           match Hashtbl.find_opt t.jobs job_id with
           | Some { j_local = Some local; j_backend; _ }
-            when not t.backends.(j_backend).k_dead ->
+            when not (Loop.closed t.backends.(j_backend).k_peer) ->
               let b = t.backends.(j_backend) in
-              Queue.add (local, job_id, c.c_id) b.k_cancels;
-              bsend b (Wire.Cancel { job_id = local })
+              Queue.add (local, job_id, Loop.id c) b.k_cancels;
+              Loop.send b.k_peer (Wire.Cancel { job_id = local })
           | Some { j_local = None; _ } ->
               (* the forwarded SUBMIT has not been acknowledged yet —
                  nothing to address a cancel at *)
-              send c (Wire.Cancelled { job_id; state = "pending" })
-          | _ -> send c (Wire.Cancelled { job_id; state = "unknown" }))
+              Loop.reply c (Wire.Cancelled { job_id; state = "pending" })
+          | _ -> Loop.reply c (Wire.Cancelled { job_id; state = "unknown" }))
     | Wire.Drain ->
         t.draining <- true;
         Array.iter
-          (fun b ->
-            if (not b.k_dead) && b.k_summary = None then bsend b Wire.Drain)
+          (fun b -> if serving b then Loop.send b.k_peer Wire.Drain)
           t.backends
     | Wire.Hello _ | Wire.Queued _ | Wire.Rejected _ | Wire.Result _
     | Wire.Status_ok _ | Wire.Cancelled _ | Wire.Pending _ | Wire.Drain_done _
     | Wire.Error _ ->
-        send c (Wire.Error { message = "unexpected message" });
-        c.c_closing <- true
+        Loop.refuse c "unexpected message"
 
   let hello t =
     Wire.Hello
@@ -859,60 +795,7 @@ module Proxy = struct
         draining = t.draining;
       }
 
-  let protocol_error t c reason =
-    ignore t;
-    Log.debug (fun m -> m "conn %d: %s, closing" c.c_id reason);
-    send c (Wire.Error { message = reason });
-    c.c_closing <- true
-
-  let process_input t c =
-    if not c.c_magic then
-      if Wire.available c.c_rd >= String.length Wire.magic then begin
-        match Wire.take c.c_rd (String.length Wire.magic) with
-        | Some m when String.equal m Wire.magic ->
-            c.c_magic <- true;
-            send c (hello t)
-        | _ -> close_conn t c
-      end;
-    if c.c_magic && not c.c_closing then
-      let rec go () =
-        match Wire.next c.c_rd with
-        | Ok None -> ()
-        | Ok (Some payload) -> (
-            match Wire.decode payload with
-            | Ok msg ->
-                handle_msg t c msg;
-                if not c.c_closing then go ()
-            | Error e -> protocol_error t c e)
-        | Result.Error e -> protocol_error t c e
-      in
-      go ()
-
   (* --- backend-facing handling ------------------------------------ *)
-
-  let owner_conn t gid =
-    match Hashtbl.find_opt t.jobs gid with
-    | Some { j_conn = Some cid; _ } -> (
-        match Hashtbl.find_opt t.conns cid with
-        | Some c when not c.c_closing -> Some c
-        | _ -> None)
-    | _ -> None
-
-  (* A terminal record for [gid] (live push, fetched reject record, or
-     journal replay): first one wins, later arrivals are dropped — the
-     dedupe rule that keeps a migrated-then-replayed job from ever
-     answering twice. *)
-  let push_terminal t gid (d : Sched_journal.done_record) =
-    if not (Hashtbl.mem t.terminal gid) then begin
-      let d = { d with Sched_journal.d_id = gid } in
-      Hashtbl.replace t.terminal gid d;
-      (match owner_conn t gid with
-      | Some c when not (Hashtbl.mem t.notified gid) ->
-          send c (Wire.Result d)
-      | _ -> ());
-      true
-    end
-    else false
 
   let handle_backend_msg t b = function
     | Wire.Hello { now; max_pending; _ } ->
@@ -937,30 +820,17 @@ module Proxy = struct
             (match Hashtbl.find_opt t.jobs gid with
             | Some e -> e.j_local <- Some local
             | None -> ());
-            (match conn_opt with
-            | Some cid -> (
-                match Hashtbl.find_opt t.conns cid with
-                | Some c when not c.c_closing ->
-                    send c (Wire.Queued { job_id = gid; arrival; deadline })
-                | _ -> ())
-            | None -> ()))
+            Option.iter
+              (fun cid ->
+                Loop.send_to t.loop cid
+                  (Wire.Queued { job_id = gid; arrival; deadline }))
+              conn_opt)
     | Wire.Rejected { job_id = None; reason; retry_after } -> (
         (* the backend's own door refused our forwarded SUBMIT *)
         match Queue.take_opt b.k_pending with
         | None ->
             Log.warn (fun m -> m "backend %d: orphan door REJECT" b.k_index)
-        | Some (conn_opt, gid) -> (
-            match conn_opt with
-            | Some cid ->
-                Hashtbl.remove t.jobs gid;
-                t.door_rejects <- t.door_rejects + 1;
-                (match Hashtbl.find_opt t.conns cid with
-                | Some c when not c.c_closing ->
-                    send c (Wire.Rejected { job_id = None; reason; retry_after })
-                | _ -> ())
-            | None ->
-                (* a migration resubmit bounced — the job is lost *)
-                push_lost t gid ~label:"migrated"))
+        | Some pending -> unacked t ~reason ~retry_after pending)
     | Wire.Rejected { job_id = Some local; reason; retry_after } -> (
         (* admission verdict at virtual arrival: relay under the global
            id, then FETCH the done record so the books balance *)
@@ -969,28 +839,24 @@ module Proxy = struct
             Log.warn (fun m ->
                 m "backend %d: REJECT for unknown job %d" b.k_index local)
         | Some gid ->
-            (match owner_conn t gid with
-            | Some c ->
-                send c (Wire.Rejected { job_id = Some gid; reason; retry_after })
-            | None -> ());
+            notify t gid
+              (Wire.Rejected { job_id = Some gid; reason; retry_after });
             Hashtbl.replace t.notified gid ();
-            bsend b (Wire.Fetch { job_id = local }))
+            Loop.send b.k_peer (Wire.Fetch { job_id = local }))
     | Wire.Result d -> (
         match Hashtbl.find_opt b.k_local d.Sched_journal.d_id with
         | None ->
             Log.warn (fun m ->
                 m "backend %d: RESULT for unknown job %d" b.k_index
                   d.Sched_journal.d_id)
-        | Some gid -> ignore (push_terminal t gid d))
+        | Some gid ->
+            ignore (push_terminal t { d with Sched_journal.d_id = gid }))
     | Wire.Pending _ -> ()  (* a FETCH raced the terminal push; the
                                RESULT itself already answered *)
     | Wire.Cancelled { job_id = local; state } -> (
         match Queue.take_opt b.k_cancels with
-        | Some (expected, gid, cid) when expected = local -> (
-            match Hashtbl.find_opt t.conns cid with
-            | Some c when not c.c_closing ->
-                send c (Wire.Cancelled { job_id = gid; state })
-            | _ -> ())
+        | Some (expected, gid, cid) when expected = local ->
+            Loop.send_to t.loop cid (Wire.Cancelled { job_id = gid; state })
         | _ -> Log.warn (fun m -> m "backend %d: orphan CANCELLED" b.k_index))
     | Wire.Drain_done summary -> b.k_summary <- Some summary
     | Wire.Error { message } ->
@@ -1027,233 +893,108 @@ module Proxy = struct
                   in
                   Some (Printf.sprintf "%.17g | %.17g |%s" 0.0 remaining rest)))
 
-  (* A backend connection died. Graceful (its DRAIN_DONE already
-     landed) is just bookkeeping; abrupt death trips the breaker,
-     answers every unacknowledged correlation, then reads the
-     backend's journal back: terminal [Done] records replay as RESULT
-     frames (byte-identical — same codec), unfinished [Submitted]
-     lines migrate to a survivor with their remaining slack, or are
-     written off as lost. *)
-  let backend_down t b =
-    if not b.k_dead then begin
-      b.k_dead <- true;
-      (try Unix.close b.k_fd with Unix.Unix_error _ -> ());
-      if b.k_summary = None then begin
-        t.deaths <- t.deaths + 1;
-        Log.warn (fun m -> m "backend %d died" b.k_index);
-        Breaker.force_open (Health.breaker b.k_health) ~now:(vnow t);
-        (* unacked SUBMITs: the client is told, a migration retry is
-           written off — neither ever reached the backend's books *)
-        Queue.iter
-          (fun (conn_opt, gid) ->
-            match conn_opt with
-            | Some cid ->
-                Hashtbl.remove t.jobs gid;
-                t.door_rejects <- t.door_rejects + 1;
-                (match Hashtbl.find_opt t.conns cid with
-                | Some c when not c.c_closing ->
-                    send c
-                      (Wire.Rejected
-                         {
-                           job_id = None;
-                           reason = "backend lost";
-                           retry_after = 0.0;
-                         })
-                | _ -> ())
-            | None -> push_lost t gid ~label:"migrated")
-          b.k_pending;
-        Queue.clear b.k_pending;
-        Queue.iter
-          (fun (_, gid, cid) ->
-            match Hashtbl.find_opt t.conns cid with
-            | Some c when not c.c_closing ->
-                send c (Wire.Cancelled { job_id = gid; state = "unknown" })
-            | _ -> ())
-          b.k_cancels;
-        Queue.clear b.k_cancels;
-        (* journal-backed replay and migration *)
-        let records =
-          match b.k_spec.bs_journal with
-          | None -> []
-          | Some path -> (
-              match Sched_journal.load path with
-              | Ok l ->
-                  (match l.Sched_journal.torn with
-                  | Some reason ->
-                      Log.warn (fun m ->
-                          m "backend %d journal torn: %s" b.k_index reason)
-                  | None -> ());
-                  l.Sched_journal.records
-              | Error e ->
-                  Log.err (fun m ->
-                      m "backend %d journal unreadable: %s" b.k_index e);
-                  [])
-        in
-        let done_local = Hashtbl.create 32 in
-        List.iter
-          (function
-            | Sched_journal.Done d -> (
-                Hashtbl.replace done_local d.Sched_journal.d_id ();
-                match Hashtbl.find_opt b.k_local d.Sched_journal.d_id with
-                | None -> ()  (* a pre-proxy tenancy of this journal *)
-                | Some gid ->
-                    if push_terminal t gid d then
-                      t.replayed <- t.replayed + 1)
-            | _ -> ())
-          records;
-        List.iter
-          (function
-            | Sched_journal.Submitted s
-              when not (Hashtbl.mem done_local s.Sched_journal.s_id) -> (
-                match Hashtbl.find_opt b.k_local s.Sched_journal.s_id with
-                | None -> ()
-                | Some gid when Hashtbl.mem t.terminal gid -> ()
-                | Some gid -> (
-                    let migrated_line =
-                      if t.failover then
-                        rewrite_line ~crash_now:b.k_now ~downtime:t.downtime
-                          s.Sched_journal.s_line
-                      else None
-                    in
-                    match (migrated_line, route t) with
-                    | Some line, Some survivor ->
-                        (match Hashtbl.find_opt t.jobs gid with
-                        | Some e ->
-                            e.j_backend <- survivor.k_index;
-                            e.j_local <- None
-                        | None ->
-                            Hashtbl.replace t.jobs gid
-                              {
-                                j_conn = None;
-                                j_backend = survivor.k_index;
-                                j_local = None;
-                              });
-                        Queue.add (None, gid) survivor.k_pending;
-                        bsend survivor (Wire.Submit { line });
-                        t.migrated <- t.migrated + 1
-                    | _ -> push_lost t gid ~label:s.Sched_journal.s_label))
-            | _ -> ())
-          records;
-        (* defensive sweep: anything still routed at this backend with
-           no terminal — no journal, or its line never made the disk *)
-        Hashtbl.iter
-          (fun gid (e : entry) ->
-            if e.j_backend = b.k_index && not (Hashtbl.mem t.terminal gid)
-            then push_lost t gid ~label:"orphaned")
-          t.jobs
-      end
-    end
-
-  (* --- event loop -------------------------------------------------- *)
-
-  let read_backend t b =
-    match Unix.read b.k_fd t.scratch 0 (Bytes.length t.scratch) with
-    | 0 -> backend_down t b
-    | n ->
-        Wire.feed b.k_rd t.scratch n;
-        let rec go () =
-          if not b.k_dead then
-            match Wire.next b.k_rd with
-            | Ok None -> ()
-            | Ok (Some payload) -> (
-                match Wire.decode payload with
-                | Ok msg ->
-                    handle_backend_msg t b msg;
-                    go ()
-                | Error e ->
-                    Log.err (fun m ->
-                        m "backend %d: codec error %s" b.k_index e);
-                    backend_down t b)
-            | Result.Error e ->
-                Log.err (fun m -> m "backend %d: framing error %s" b.k_index e);
-                backend_down t b
-        in
-        go ()
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        backend_down t b
-
-  let flush_backend t b =
-    let len = Buffer.length b.k_out in
-    if len > b.k_out_off then begin
-      let s = Buffer.contents b.k_out in
-      match Unix.write_substring b.k_fd s b.k_out_off (len - b.k_out_off) with
-      | n ->
-          b.k_out_off <- b.k_out_off + n;
-          if b.k_out_off = Buffer.length b.k_out then begin
-            Buffer.clear b.k_out;
-            b.k_out_off <- 0
-          end
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          backend_down t b
-    end
-
-  let accept_ready t =
-    let rec go () =
-      match Unix.accept t.listen_fd with
-      | fd, _addr ->
-          Unix.set_nonblock fd;
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          let c =
-            {
-              c_id = t.next_conn;
-              c_fd = fd;
-              c_rd = Wire.reader ();
-              c_out = Buffer.create 256;
-              c_out_off = 0;
-              c_magic = false;
-              c_closing = false;
-            }
-          in
-          t.next_conn <- t.next_conn + 1;
-          Hashtbl.replace t.conns c.c_id c;
-          go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  (* Resubmit a dead backend's unfinished job [gid] to a survivor with
+     its remaining slack, or write it off. *)
+  let migrate t b gid (s : Sched_journal.submitted_record) =
+    let line =
+      if t.failover then
+        rewrite_line ~crash_now:b.k_now ~downtime:t.downtime
+          s.Sched_journal.s_line
+      else None
     in
-    go ()
+    match (line, route t) with
+    | Some line, Some survivor ->
+        (match Hashtbl.find_opt t.jobs gid with
+        | Some e ->
+            e.j_backend <- survivor.k_index;
+            e.j_local <- None
+        | None ->
+            Hashtbl.replace t.jobs gid
+              { j_conn = None; j_backend = survivor.k_index; j_local = None });
+        Queue.add (None, gid) survivor.k_pending;
+        Loop.send survivor.k_peer (Wire.Submit { line });
+        t.migrated <- t.migrated + 1
+    | _ -> push_lost t gid ~label:s.Sched_journal.s_label
 
-  let read_ready t c =
-    match Unix.read c.c_fd t.scratch 0 (Bytes.length t.scratch) with
-    | 0 -> close_conn t c
-    | n ->
-        Wire.feed c.c_rd t.scratch n;
-        process_input t c
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        close_conn t c
+  (* A backend connection died ([reason]: a framing or codec error).
+     Graceful (its DRAIN_DONE already landed) is just bookkeeping;
+     abrupt death trips the breaker, answers every unacknowledged
+     correlation, then replays the backend's journal through the tier
+     core: terminal [Done] records replay as RESULT frames
+     (byte-identical — same codec), unfinished [Submitted] lines
+     migrate or are written off as lost. *)
+  let backend_lost t b reason =
+    Option.iter
+      (fun e -> Log.err (fun m -> m "backend %d: %s" b.k_index e))
+      reason;
+    if b.k_summary = None then begin
+      t.deaths <- t.deaths + 1;
+      Log.warn (fun m -> m "backend %d died" b.k_index);
+      Breaker.force_open (Health.breaker b.k_health) ~now:(vnow t);
+      Queue.iter
+        (unacked t ~reason:"backend lost" ~retry_after:0.0)
+        b.k_pending;
+      Queue.clear b.k_pending;
+      Queue.iter
+        (fun (_, gid, cid) ->
+          Loop.send_to t.loop cid
+            (Wire.Cancelled { job_id = gid; state = "unknown" }))
+        b.k_cancels;
+      Queue.clear b.k_cancels;
+      Option.iter
+        (fun path ->
+          replay_journal ~index:b.k_index path
+            ~replay:(fun d ->
+              match Hashtbl.find_opt b.k_local d.Sched_journal.d_id with
+              | None -> ()  (* a pre-proxy tenancy of this journal *)
+              | Some gid ->
+                  if push_terminal t { d with Sched_journal.d_id = gid } then
+                    t.replayed <- t.replayed + 1)
+            ~migrate:(fun s ->
+              match Hashtbl.find_opt b.k_local s.Sched_journal.s_id with
+              | Some gid when not (Hashtbl.mem t.terminal gid) ->
+                  migrate t b gid s
+              | _ -> ()))
+        b.k_spec.bs_journal;
+      (* defensive sweep: anything still routed at this backend with
+         no terminal — no journal, or its line never made the disk *)
+      Hashtbl.iter
+        (fun gid (e : entry) ->
+          if e.j_backend = b.k_index && not (Hashtbl.mem t.terminal gid) then
+            push_lost t gid ~label:"orphaned")
+        t.jobs
+    end
 
-  let flush_conn t c =
-    let len = Buffer.length c.c_out in
-    if len > c.c_out_off then begin
-      let s = Buffer.contents c.c_out in
-      match Unix.write_substring c.c_fd s c.c_out_off (len - c.c_out_off) with
-      | n ->
-          c.c_out_off <- c.c_out_off + n;
-          if c.c_out_off = Buffer.length c.c_out then begin
-            Buffer.clear c.c_out;
-            c.c_out_off <- 0
-          end
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          close_conn t c
-    end;
-    if c.c_closing && Buffer.length c.c_out = c.c_out_off then close_conn t c
+  let create ?(failover = true) ?(downtime = 0.0) ~port ~backends () =
+    if backends = [] then invalid_arg "Proxy.create: no backends";
+    let backends =
+      Array.of_list (List.mapi (fun i s -> connect_backend ~index:i s) backends)
+    in
+    let t =
+      {
+        loop = Loop.listen ~port;
+        backends;
+        failover;
+        downtime;
+        jobs = Hashtbl.create 64;
+        terminal = Hashtbl.create 64;
+        notified = Hashtbl.create 16;
+        next_gid = 0;
+        draining = false;
+        submitted = 0;
+        door_rejects = 0;
+        deaths = 0;
+        migrated = 0;
+        replayed = 0;
+        lost = 0;
+      }
+    in
+    Array.iter
+      (fun b ->
+        Loop.attach t.loop b.k_peer ~frame:(handle_backend_msg t b)
+          ~lost:(backend_lost t b))
+      backends;
+    t
 
   (* Wall-clock probe cadence: STATUS every interval, a missed reply
      deadline debited to the breaker at the tier's virtual now. Death
@@ -1263,19 +1004,15 @@ module Proxy = struct
     let wall = Unix.gettimeofday () in
     Array.iter
       (fun b ->
-        if (not b.k_dead) && b.k_summary = None && b.k_hello then begin
+        if serving b && b.k_hello then begin
           if Health.overdue b.k_health ~wall then
             Health.failed b.k_health ~now:(vnow t);
           if Health.due b.k_health ~wall then begin
-            bsend b Wire.Status;
+            Loop.send b.k_peer Wire.Status;
             Health.sent b.k_health ~wall
           end
         end)
       t.backends
-
-  let all_done t =
-    t.draining
-    && Array.for_all (fun b -> b.k_dead || b.k_summary <> None) t.backends
 
   let finalize t =
     (* anything still in the books with no terminal verdict *)
@@ -1293,38 +1030,8 @@ module Proxy = struct
             | None -> b.k_now))
         0.0 t.backends
     in
-    let records =
-      Hashtbl.fold (fun _ d acc -> d :: acc) t.terminal []
-      |> List.sort (fun (a : Sched_journal.done_record) b ->
-             compare a.Sched_journal.d_id b.Sched_journal.d_id)
-    in
-    let summary = summarize ~makespan records in
-    List.iter
-      (fun c -> if not c.c_closing then send c (Wire.Drain_done summary))
-      (conn_list t);
-    let deadline = Unix.gettimeofday () +. 2.0 in
-    let rec flush_all () =
-      let waiting =
-        List.filter (fun c -> Buffer.length c.c_out > c.c_out_off) (conn_list t)
-      in
-      if waiting <> [] && Unix.gettimeofday () < deadline then begin
-        (match Unix.select [] (List.map (fun c -> c.c_fd) waiting) [] 0.05 with
-        | _, ws, _ ->
-            List.iter (fun c -> if List.mem c.c_fd ws then flush_conn t c) waiting
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        flush_all ()
-      end
-    in
-    flush_all ();
-    List.iter (fun c -> close_conn t c) (conn_list t);
-    Array.iter
-      (fun b ->
-        if not b.k_dead then begin
-          b.k_dead <- true;
-          try Unix.close b.k_fd with Unix.Unix_error _ -> ()
-        end)
-      t.backends;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    let records, summary = books ~makespan t.terminal in
+    Loop.close t.loop ~goodbye:(Wire.Drain_done summary);
     {
       p_summary = summary;
       p_records = records;
@@ -1336,70 +1043,20 @@ module Proxy = struct
       p_lost = t.lost;
     }
 
-  let shutdown t =
-    List.iter (fun c -> close_conn t c) (conn_list t);
-    Array.iter
-      (fun b ->
-        if not b.k_dead then begin
-          b.k_dead <- true;
-          try Unix.close b.k_fd with Unix.Unix_error _ -> ()
-        end)
-      t.backends;
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  let shutdown t = Loop.shutdown t.loop
 
   let run t =
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ());
-    let rec loop () =
-      if all_done t then finalize t
-      else begin
-        probe t;
-        let conns = conn_list t in
-        let live_backends =
-          Array.to_list t.backends |> List.filter (fun b -> not b.k_dead)
-        in
-        let rfds =
-          t.listen_fd
-          :: (List.map (fun b -> b.k_fd) live_backends
-             @ List.filter_map
-                 (fun c -> if c.c_closing then None else Some c.c_fd)
-                 conns)
-        in
-        let wfds =
-          List.filter_map
-            (fun b ->
-              if Buffer.length b.k_out > b.k_out_off then Some b.k_fd else None)
-            live_backends
-          @ List.filter_map
-              (fun c ->
-                if Buffer.length c.c_out > c.c_out_off then Some c.c_fd
-                else None)
-              conns
-        in
-        let rs, ws =
-          match Unix.select rfds wfds [] 0.05 with
-          | rs, ws, _ -> (rs, ws)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-        in
-        if List.mem t.listen_fd rs then accept_ready t;
-        List.iter
-          (fun b ->
-            if (not b.k_dead) && List.mem b.k_fd rs then read_backend t b)
-          live_backends;
-        List.iter (fun c -> if List.mem c.c_fd rs then read_ready t c) conns;
-        ignore ws;
-        List.iter
-          (fun b ->
-            if (not b.k_dead) && Buffer.length b.k_out > b.k_out_off then
-              flush_backend t b)
-          live_backends;
-        List.iter
-          (fun c ->
-            if Hashtbl.mem t.conns c.c_id && Buffer.length c.c_out > c.c_out_off
-            then flush_conn t c)
-          conns;
-        loop ()
-      end
-    in
-    loop ()
+    Loop.run t.loop
+      {
+        Loop.accept = ignore;
+        hello = (fun () -> hello t);
+        handle = handle_msg t;
+        before_select = (fun () -> probe t);
+        after_reads = ignore;
+        timeout = (fun () -> 0.05);
+        finished =
+          (fun () ->
+            t.draining && Array.for_all (fun b -> not (serving b)) t.backends);
+      };
+    finalize t
 end

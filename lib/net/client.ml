@@ -50,11 +50,8 @@ let wait_readable t =
 
 (* Pop the next decoded frame, blocking on the socket as needed. *)
 let rec next_frame t =
-  match Wire.next t.rd with
-  | Ok (Some payload) -> (
-      match Wire.decode payload with
-      | Ok msg -> msg
-      | Error e -> raise (Protocol_error e))
+  match Wire.next_message t.rd with
+  | Ok (Some msg) -> msg
   | Error e -> raise (Protocol_error e)
   | Ok None -> (
       wait_readable t;
@@ -205,17 +202,12 @@ let pushes t =
    a zero timeout and stash whatever full frames have landed. *)
 let poll t =
   let rec drain_frames () =
-    match Wire.next t.rd with
-    | Ok (Some payload) -> (
-        match Wire.decode payload with
-        | Ok msg ->
-            (match stash t msg with
-            | None -> ()
-            | Some m ->
-                raise
-                  (Protocol_error ("unsolicited " ^ Wire.tag_name m)));
-            drain_frames ()
-        | Error e -> raise (Protocol_error e))
+    match Wire.next_message t.rd with
+    | Ok (Some msg) ->
+        (match stash t msg with
+        | None -> ()
+        | Some m -> raise (Protocol_error ("unsolicited " ^ Wire.tag_name m)));
+        drain_frames ()
     | Error e -> raise (Protocol_error e)
     | Ok None -> (
         match Unix.select [ t.fd ] [] [] 0.0 with

@@ -1,4 +1,4 @@
-(* The network front door: one process, one [Unix.select] event loop,
+(* The network front door: one process, one {!Loop} select loop,
    one scheduler engine. Socket readiness and {!Taqp_sched.Engine.step}
    calls interleave on the same thread, so every job admitted over the
    wire competes on the single virtual device exactly as a batch job
@@ -44,20 +44,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type gate = [ `Eager | `Drain ]
 
-type conn = {
-  c_id : int;
-  c_fd : Unix.file_descr;
-  c_rd : Wire.reader;
-  c_bucket : Token_bucket.t;
-  c_out : Buffer.t;
-  mutable c_out_off : int;
-  mutable c_magic : bool;
-  mutable c_closing : bool;  (* flush pending output, then close *)
-}
-
 type t = {
-  listen_fd : Unix.file_descr;
-  port : int;
+  loop : Token_bucket.t Loop.t;  (* per-connection SUBMIT quota *)
   engine : Engine.t;
   catalog : Taqp_storage.Catalog.t;
   config : Taqp_core.Config.t;
@@ -67,14 +55,11 @@ type t = {
   quota_capacity : float;
   quota_refill : float;
   headroom : float;
-  conns : (int, conn) Hashtbl.t;
   terminal : (int, Sched_journal.done_record) Hashtbl.t;
   owner : (int, int) Hashtbl.t;  (* job id -> conn id *)
   journaled : Sched_journal.done_record list;  (* pre-crash completions *)
   crash_time : float;
-  scratch : Bytes.t;
   mutable next_id : int;
-  mutable next_conn : int;
   mutable gate_open : bool;
   mutable draining : bool;
   mutable engine_idle : bool;
@@ -90,14 +75,6 @@ type stats = {
   max_live : int;
   door_rejects : int;
 }
-
-let send c msg = Buffer.add_string c.c_out (Wire.frame_message msg)
-
-let close_conn t c =
-  if Hashtbl.mem t.conns c.c_id then begin
-    Hashtbl.remove t.conns c.c_id;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-  end
 
 let jrecord t record =
   match t.journal with
@@ -131,10 +108,7 @@ let handle_report t (r : Engine.job_report) =
   in
   match Hashtbl.find_opt t.owner d.Sched_journal.d_id with
   | None -> ()
-  | Some cid -> (
-      match Hashtbl.find_opt t.conns cid with
-      | Some c when not c.c_closing -> send c msg
-      | _ -> ())
+  | Some cid -> Loop.send_to t.loop cid msg
 
 let create ?policy ?admission ?params ?metrics ?tracer ?faults ?cache
     ?on_report ?(gate = (`Eager : gate)) ?(max_pending = 4096)
@@ -214,16 +188,7 @@ let create ?policy ?admission ?params ?metrics ?tracer ?faults ?cache
       ?start_at:(if recovering then Some (crash_time +. downtime) else None)
       ~on_report backlog_jobs
   in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen listen_fd 128;
-  Unix.set_nonblock listen_fd;
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
+  let loop = Loop.listen ~port in
   let terminal = Hashtbl.create 64 in
   List.iter
     (fun (d : Sched_journal.done_record) ->
@@ -231,8 +196,7 @@ let create ?policy ?admission ?params ?metrics ?tracer ?faults ?cache
     journaled;
   let t =
     {
-      listen_fd;
-      port;
+      loop;
       engine;
       catalog;
       config;
@@ -242,14 +206,11 @@ let create ?policy ?admission ?params ?metrics ?tracer ?faults ?cache
       quota_capacity;
       quota_refill;
       headroom;
-      conns = Hashtbl.create 16;
       terminal;
       owner = Hashtbl.create 64;
       journaled;
       crash_time;
-      scratch = Bytes.create 8192;
       next_id = max_seen + 1;
-      next_conn = 0;
       gate_open = (gate = `Eager) || recovering;
       draining = false;
       engine_idle = backlog_jobs = [];
@@ -260,7 +221,7 @@ let create ?policy ?admission ?params ?metrics ?tracer ?faults ?cache
   self := Some t;
   t
 
-let port t = t.port
+let port t = Loop.port t.loop
 
 let hello t =
   Wire.Hello
@@ -272,13 +233,13 @@ let hello t =
 
 let door_reject (t : t) c reason retry_after =
   t.door_rejects <- t.door_rejects + 1;
-  send c (Wire.Rejected { job_id = None; reason; retry_after })
+  Loop.reply c (Wire.Rejected { job_id = None; reason; retry_after })
 
 let handle_submit t c line =
   if t.draining then door_reject t c "draining" Backpressure.draining
   else
     let now = Engine.now t.engine in
-    match Token_bucket.take c.c_bucket ~now ~cost:1.0 with
+    match Token_bucket.take (Loop.data c) ~now ~cost:1.0 with
     | `Wait w -> door_reject t c "quota" (Backpressure.quota ~wait:w)
     | `Ok ->
         let depth =
@@ -314,14 +275,14 @@ let handle_submit t c line =
                    {
                      s_id = job.Job.id;
                      s_label = job.Job.label;
-                     s_client = c.c_id;
+                     s_client = Loop.id c;
                      s_line = Job.to_line job;
                      s_now = now;
                    });
-              Hashtbl.replace t.owner job.Job.id c.c_id;
+              Hashtbl.replace t.owner job.Job.id (Loop.id c);
               Engine.submit t.engine job;
               t.engine_idle <- false;
-              send c
+              Loop.reply c
                 (Wire.Queued
                    {
                      job_id = job.Job.id;
@@ -332,7 +293,7 @@ let handle_submit t c line =
 let handle_msg t c = function
   | Wire.Submit { line } -> handle_submit t c line
   | Wire.Status ->
-      send c
+      Loop.reply c
         (Wire.Status_ok
            {
              now = Engine.now t.engine;
@@ -344,12 +305,12 @@ let handle_msg t c = function
            })
   | Wire.Fetch { job_id } -> (
       match Hashtbl.find_opt t.terminal job_id with
-      | Some d -> send c (Wire.Result d)
+      | Some d -> Loop.reply c (Wire.Result d)
       | None ->
           let state =
             if job_id >= 0 && job_id < t.next_id then "queued" else "unknown"
           in
-          send c (Wire.Pending { job_id; state }))
+          Loop.reply c (Wire.Pending { job_id; state }))
   | Wire.Cancel { job_id } ->
       let state =
         if Hashtbl.mem t.terminal job_id then "terminal"
@@ -361,7 +322,7 @@ let handle_msg t c = function
           | `Killed_live -> "live"
           | `Unknown -> "unknown"
       in
-      send c (Wire.Cancelled { job_id; state })
+      Loop.reply c (Wire.Cancelled { job_id; state })
   | Wire.Drain ->
       t.draining <- true;
       t.gate_open <- true;
@@ -370,103 +331,7 @@ let handle_msg t c = function
   | Wire.Status_ok _ | Wire.Cancelled _ | Wire.Pending _ | Wire.Drain_done _
   | Wire.Error _ ->
       (* server-to-client tags have no business arriving here *)
-      send c (Wire.Error { message = "unexpected message" });
-      c.c_closing <- true
-
-let protocol_error t c reason =
-  ignore t;
-  Log.debug (fun m -> m "conn %d: %s, closing" c.c_id reason);
-  send c (Wire.Error { message = reason });
-  c.c_closing <- true
-
-(* The first bad frame closes the connection; a well-formed frame that
-   decodes to garbage does too. Never an exception: framing and codec
-   errors all funnel into [protocol_error]. *)
-let process_input t c =
-  if not c.c_magic then
-    if Wire.available c.c_rd >= String.length Wire.magic then begin
-      match Wire.take c.c_rd (String.length Wire.magic) with
-      | Some m when String.equal m Wire.magic ->
-          c.c_magic <- true;
-          send c (hello t)
-      | _ -> close_conn t c
-    end;
-  if c.c_magic && not c.c_closing then
-    let rec go () =
-      match Wire.next c.c_rd with
-      | Ok None -> ()
-      | Ok (Some payload) -> (
-          match Wire.decode payload with
-          | Ok msg ->
-              handle_msg t c msg;
-              if not c.c_closing then go ()
-          | Error e -> protocol_error t c e)
-      | Result.Error e -> protocol_error t c e
-    in
-    go ()
-
-let accept_ready t =
-  let rec go () =
-    match Unix.accept t.listen_fd with
-    | fd, _addr ->
-        Unix.set_nonblock fd;
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        let c =
-          {
-            c_id = t.next_conn;
-            c_fd = fd;
-            c_rd = Wire.reader ();
-            c_bucket =
-              Token_bucket.create ~capacity:t.quota_capacity
-                ~refill:t.quota_refill ~now:(Engine.now t.engine);
-            c_out = Buffer.create 256;
-            c_out_off = 0;
-            c_magic = false;
-            c_closing = false;
-          }
-        in
-        t.next_conn <- t.next_conn + 1;
-        Hashtbl.replace t.conns c.c_id c;
-        go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let read_ready t c =
-  match Unix.read c.c_fd t.scratch 0 (Bytes.length t.scratch) with
-  | 0 -> close_conn t c
-  | n ->
-      Wire.feed c.c_rd t.scratch n;
-      process_input t c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-      ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn t c
-
-let flush_conn t c =
-  let len = Buffer.length c.c_out in
-  if len > c.c_out_off then begin
-    let s = Buffer.contents c.c_out in
-    match Unix.write_substring c.c_fd s c.c_out_off (len - c.c_out_off) with
-    | n ->
-        c.c_out_off <- c.c_out_off + n;
-        if c.c_out_off = Buffer.length c.c_out then begin
-          Buffer.clear c.c_out;
-          c.c_out_off <- 0
-        end
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        close_conn t c
-  end;
-  if c.c_closing && Buffer.length c.c_out = c.c_out_off then close_conn t c
-
-let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+      Loop.refuse c "unexpected message"
 
 let step_engine t =
   if t.gate_open && not t.engine_idle then begin
@@ -492,32 +357,7 @@ let finalize t =
         ~run_reports:result.Engine.reports t.journaled
         ~crash_time:t.crash_time
   in
-  List.iter
-    (fun c -> if not c.c_closing then send c (Wire.Drain_done summary))
-    (conn_list t);
-  (* Best-effort flush of the goodbyes, then hang up. *)
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  let rec flush_all () =
-    let waiting =
-      List.filter
-        (fun c -> Buffer.length c.c_out > c.c_out_off)
-        (conn_list t)
-    in
-    if waiting <> [] && Unix.gettimeofday () < deadline then begin
-      (match
-         Unix.select [] (List.map (fun c -> c.c_fd) waiting) [] 0.05
-       with
-      | _, ws, _ ->
-          List.iter
-            (fun c -> if List.mem c.c_fd ws then flush_conn t c)
-            waiting
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      flush_all ()
-    end
-  in
-  flush_all ();
-  List.iter (fun c -> close_conn t c) (conn_list t);
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  Loop.close t.loop ~goodbye:(Wire.Drain_done summary);
   Option.iter Journal.close t.journal;
   {
     result;
@@ -532,8 +372,7 @@ let finalize t =
    dead server leaves behind, or its clients block forever — a real
    process crash gets this from the kernel for free. *)
 let shutdown t =
-  List.iter (fun c -> close_conn t c) (conn_list t);
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  Loop.shutdown t.loop;
   Option.iter (fun w -> try Journal.close w with _ -> ()) t.journal
 
 (* Run until drained: a DRAIN frame (from any client — it is an
@@ -543,41 +382,18 @@ let shutdown t =
    ({!Taqp_fault.Injector.Crashed}) propagate — the journal is already
    flushed per record, which is the point. *)
 let run t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let rec loop () =
-    if t.draining && t.gate_open && t.engine_idle then finalize t
-    else begin
-      let conns = conn_list t in
-      let rfds =
-        t.listen_fd
-        :: List.filter_map
-             (fun c -> if c.c_closing then None else Some c.c_fd)
-             conns
-      in
-      let wfds =
-        List.filter_map
-          (fun c ->
-            if Buffer.length c.c_out > c.c_out_off then Some c.c_fd else None)
-          conns
-      in
-      let timeout = if t.gate_open && not t.engine_idle then 0.0 else 0.2 in
-      let rs, ws =
-        match Unix.select rfds wfds [] timeout with
-        | rs, ws, _ -> (rs, ws)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-      in
-      if List.mem t.listen_fd rs then accept_ready t;
-      List.iter (fun c -> if List.mem c.c_fd rs then read_ready t c) conns;
-      step_engine t;
-      ignore ws;
-      List.iter
-        (fun c ->
-          if
-            Hashtbl.mem t.conns c.c_id
-            && Buffer.length c.c_out > c.c_out_off
-          then flush_conn t c)
-        conns;
-      loop ()
-    end
-  in
-  loop ()
+  Loop.run t.loop
+    {
+      Loop.accept =
+        (fun () ->
+          Token_bucket.create ~capacity:t.quota_capacity ~refill:t.quota_refill
+            ~now:(Engine.now t.engine));
+      hello = (fun () -> hello t);
+      handle = handle_msg t;
+      before_select = ignore;
+      after_reads = (fun () -> step_engine t);
+      timeout =
+        (fun () -> if t.gate_open && not t.engine_idle then 0.0 else 0.2);
+      finished = (fun () -> t.draining && t.gate_open && t.engine_idle);
+    };
+  finalize t

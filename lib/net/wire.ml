@@ -328,3 +328,9 @@ let next r =
         Ok (Some payload)
       end
     end
+
+let next_message r =
+  match next r with
+  | Ok None -> Ok None
+  | Ok (Some payload) -> Result.map Option.some (decode payload)
+  | Result.Error e -> Result.Error e

@@ -92,3 +92,8 @@ val next : reader -> (string option, string) result
     length prefix is validated as soon as its 4 bytes are buffered: a
     forged huge length errors immediately, before any claimed payload
     is awaited or allocated. *)
+
+val next_message : reader -> (message option, string) result
+(** {!next}, then {!decode}: one whole message, [Ok None] when more
+    bytes are needed, [Error] on a framing or codec violation. Never
+    raises. *)

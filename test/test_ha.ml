@@ -466,6 +466,85 @@ let test_proxy_kill_backend () =
   checki "the tier's books cover every queued job" (List.length queued)
     (List.length stats.Balancer.Proxy.p_records)
 
+(* Hostile input at both doors: the server and a 1-backend proxy run
+   the same select loop, so each must answer garbage and close, close a
+   wrong magic without a byte, refuse a server-to-client frame, and
+   keep serving. *)
+let exchange ~port bytes =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* a door that never hangs up fails the read instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  let buf = Bytes.create 4096 in
+  let rec read_to_eof saw =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> saw
+    | n -> read_to_eof (saw ^ Bytes.sub_string buf 0 n)
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> saw
+  in
+  let answer = read_to_eof "" in
+  Unix.close fd;
+  let rd = Wire.reader () in
+  Wire.feed rd (Bytes.of_string answer) (String.length answer);
+  let rec frames acc =
+    match Wire.next_message rd with
+    | Ok (Some m) -> frames (m :: acc)
+    | Ok None -> List.rev acc
+    | Error e -> Alcotest.failf "undecodable answer: %s" e
+  in
+  (answer, List.map Wire.tag_name (frames []))
+
+let check_hostile_door door ~port =
+  let label what = door ^ ": " ^ what in
+  let answer, tags = exchange ~port (Wire.magic ^ String.make 64 '\xFF') in
+  checkb (label "garbage answered before the hang-up") true
+    (String.length answer > 0);
+  checks (label "garbage gets HELLO then ERROR") "hello error"
+    (String.concat " " tags);
+  let answer, _ = exchange ~port "NOTMAGIC" in
+  checki (label "bad magic closed without a byte") 0 (String.length answer);
+  let queued =
+    Wire.frame_message
+      (Wire.Queued { job_id = 0; arrival = 0.0; deadline = 1.0 })
+  in
+  let answer, tags = exchange ~port (Wire.magic ^ queued) in
+  checks (label "server-to-client frame refused") "hello error"
+    (String.concat " " tags);
+  let expected =
+    Wire.frame_message (Wire.Error { message = "unexpected message" })
+  in
+  checkb (label "refusal names the unexpected message") true
+    (String.ends_with ~suffix:expected answer);
+  let c = Client.connect ~read_timeout:30.0 ~port () in
+  ignore (Client.drain c);
+  Client.close c
+
+let test_hostile_input () =
+  let j0 = Filename.temp_file "taqp_test_ha_h0" ".journal" in
+  let j1 = Filename.temp_file "taqp_test_ha_h1" ".journal" in
+  let server, sd = spawn_backend ~journal:j0 () in
+  check_hostile_door "server" ~port:(Server.port server);
+  (match Domain.join sd with Ok _ -> () | Error e -> raise e);
+  let backend, bd = spawn_backend ~journal:j1 () in
+  let proxy =
+    Balancer.Proxy.create ~port:0
+      ~backends:
+        [
+          { Balancer.Proxy.bs_port = Server.port backend; bs_journal = Some j1 };
+        ]
+      ()
+  in
+  let pd =
+    Domain.spawn (fun () ->
+        try Ok (Balancer.Proxy.run proxy) with e -> Error e)
+  in
+  check_hostile_door "proxy" ~port:(Balancer.Proxy.port proxy);
+  let stats = match Domain.join pd with Ok s -> s | Error e -> raise e in
+  checki "proxy: no backend died" 0 stats.Balancer.Proxy.p_deaths;
+  (match Domain.join bd with Ok _ -> () | Error e -> raise e);
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ j0; j1 ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -499,5 +578,7 @@ let () =
             test_proxy_round_trip;
           Alcotest.test_case "kill one backend under load" `Quick
             test_proxy_kill_backend;
+          Alcotest.test_case "hostile input at the server and the proxy"
+            `Quick test_hostile_input;
         ] );
     ]
